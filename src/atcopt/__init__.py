@@ -44,7 +44,6 @@ from .solvers import (
     solve_full_continuum,
     solve_atomistic_subproblem,
     solve_continuum_subproblem,
-    write_displacement_csv,
 )
 from .coupling import (
     AtcResult,

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -275,20 +274,23 @@ def patch_test(
 
 
 def q_norm_details(
-    chain: ChainModel, decomp: Decomposition
+    chain: ChainModel,
+    decomp: Decomposition,
+    system: coupling.ReducedSystem | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact recovery-operator norm with the two 3x3 Gram matrices.
 
     The operator is linear on the three-dimensional control space, so its
     norm is the largest generalized eigenvalue of the chain-wide response
-    Gram against the overlap-mismatch Gram; no sampling is involved.
+    Gram against the overlap-mismatch Gram; no sampling is involved.  The
+    lifts and the overlap Gram come from ``system`` (assembled when none
+    is given).
     """
-    K, L, nbar = decomp.K, decomp.L, decomp.N - 1
-    w1 = coupling.lift_atomistic(chain, decomp, (1.0, 0.0))
-    w2 = coupling.lift_atomistic(chain, decomp, (0.0, 1.0))
-    vc = coupling.lift_continuum(decomp, 1.0)
-    overlap = np.vstack([w1.window(K, L), w2.window(K, L), -vc.window(K, L)])
-    g_overlap = overlap @ overlap.T
+    if system is None:
+        system = coupling.assemble_reduced_system(chain, decomp)
+    L, nbar = decomp.L, decomp.N - 1
+    w1, w2, vc = system.basis_liftings
+    g_overlap = system.gram
     g_full = np.zeros((3, 3))
     g_full[0, 0] = float(w1.values @ w1.values)
     g_full[0, 1] = g_full[1, 0] = float(w1.values @ w2.values)
@@ -301,8 +303,12 @@ def q_norm_details(
     return float(math.sqrt(max(eigs))), g_full, g_overlap
 
 
-def estimate_q_norm(chain: ChainModel, decomp: Decomposition) -> float:
-    return q_norm_details(chain, decomp)[0]
+def estimate_q_norm(
+    chain: ChainModel,
+    decomp: Decomposition,
+    system: coupling.ReducedSystem | None = None,
+) -> float:
+    return q_norm_details(chain, decomp, system)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +422,6 @@ def overlap_quadratic_form(decomp: Decomposition) -> OverlapFormReport:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    n_samples: int
     continuum_violations: int
     continuum_max_ratio: float  # |v_c|^2 / ((N-K) * theta_c^2), must stay <= 1
     atomistic_constant: float  # max |v_a|^2 / (L * |theta_a|^2)
@@ -425,38 +430,29 @@ class StabilityReport:
 def verify_stability(
     chain: ChainModel,
     decomp: Decomposition,
-    n_samples: int = 200,
-    rng: np.random.Generator | None = None,
+    system: coupling.ReducedSystem | None = None,
 ) -> StabilityReport:
-    """Sample random interface values and measure the lifting-energy ratios.
+    """Exact lifting-energy ratios over all interface values.
 
-    The continuum ratio obeys an exact bound and any violation is a hard
-    failure; the atomistic ratio has a window-proportional bound with an
-    unspecified constant, so it is only reported.
+    The continuum lifting is ``theta_c`` times the ramp ``w3``, so its
+    ratio is ``|w3|^2 / (N-K)`` for every ``theta_c``; it obeys an exact
+    bound and a violation is a hard failure.  The atomistic lifting is
+    ``theta_1 w1 + theta_2 w2``, so its largest ratio is the top
+    eigenvalue of the 2x2 Gram of ``w1, w2`` over ``[0, L]``, divided by
+    ``L``; its window-proportional bound has an unspecified constant, so
+    it is only reported.  The lifts come from ``system`` (assembled when
+    none is given).
     """
-    rng = rng or np.random.default_rng(0)
-    K, L, N = decomp.K, decomp.L, decomp.N
-    violations = 0
-    cont_max = 0.0
-    atom_max = 0.0
-    for _ in range(n_samples):
-        theta_c = float(rng.standard_normal())
-        if theta_c != 0.0:
-            v_c = coupling.lift_continuum(decomp, theta_c)
-            ratio = float(v_c.values @ v_c.values) / ((N - K) * theta_c**2)
-            cont_max = max(cont_max, ratio)
-            if ratio > 1.0:
-                violations += 1
-        theta_a = rng.standard_normal(2)
-        denom = L * float(theta_a @ theta_a)
-        if denom > 0.0:
-            v_a = coupling.lift_atomistic(chain, decomp, (theta_a[0], theta_a[1]))
-            atom_max = max(atom_max, float(v_a.values @ v_a.values) / denom)
+    if system is None:
+        system = coupling.assemble_reduced_system(chain, decomp)
+    w1, w2, ramp = (w.values for w in system.basis_liftings)
+    ratio = float(ramp @ ramp) / (decomp.N - decomp.K)
+    violations = int(ratio > 1.0)
     if violations:
-        raise coupling.CouplingError(
-            f"continuum lifting bound violated {violations} times in {n_samples} samples"
-        )
-    return StabilityReport(n_samples, violations, cont_max, atom_max)
+        raise coupling.CouplingError(f"continuum lifting bound violated: ratio {ratio:.6f} > 1")
+    gram = np.array([[w1 @ w1, w1 @ w2], [w1 @ w2, w2 @ w2]])
+    atomistic = float(np.linalg.eigvalsh(gram)[-1]) / decomp.L
+    return StabilityReport(violations, ratio, atomistic)
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +530,7 @@ class StudyRow:
     eps_scaled_err: float
 
 
-STUDY_COLUMNS = (
-    "N",
-    "K",
-    "L",
-    "gamma",
-    "p",
-    "err_atc",
-    "err_model",
-    "bound_rhs",
-    "q_norm_est",
-    "mismatch",
-    "eps_scaled_err",
-)
+STUDY_COLUMNS = tuple(f.name for f in fields(StudyRow))
 
 
 def error_study(
@@ -556,10 +540,10 @@ def error_study(
     u_ref = solvers.solve_full_atomistic(chain)
     result = coupling.solve_atc(chain, decomp)
     err_atc = float(np.linalg.norm(u_ref.values - result.u_atc.values))
-    u_c_lift = coupling.continuum_trace_lifting(chain, decomp, u_ref)
+    _, u_c_lift = result.system.states(coupling.trace(u_ref, decomp).as_array())
     K, nbar = decomp.K, decomp.N - 1
     err_model = float(np.linalg.norm(u_ref.window(K, nbar) - u_c_lift.values))
-    q_norm = estimate_q_norm(chain, decomp)
+    q_norm = estimate_q_norm(chain, decomp, result.system)
     return StudyRow(
         N=decomp.N,
         K=decomp.K,
@@ -581,25 +565,25 @@ def error_split_report(chain: ChainModel, decomp: Decomposition) -> dict:
     Returns the coupled-solve error, the consistency term (continuum
     window beyond the overlap), the recovery-operator term, the
     control-space gap, and the overlap modeling error, so the chain of
-    inequalities can be checked term by term.
+    inequalities can be checked term by term.  The trace lifting and the
+    recovery-operator terms reuse the coupled solve's lifts.
     """
     u_ref = solvers.solve_full_atomistic(chain)
-    system = coupling.assemble_reduced_system(chain, decomp)
-    theta_op = coupling.solve_controls(system)
-    result = coupling.compose_atc(chain, decomp, theta_op, system=system)
+    result = coupling.solve_atc(chain, decomp)
+    system = result.system
     r_ref = coupling.trace(u_ref, decomp)
-    delta = r_ref.as_array() - theta_op.as_array()
-    u_c_lift = coupling.continuum_trace_lifting(chain, decomp, u_ref)
+    delta = r_ref.as_array() - result.controls.as_array()
+    _, u_c_lift = system.states(r_ref.as_array())
     K, L, nbar = decomp.K, decomp.L, decomp.N - 1
 
     err_atc = float(np.linalg.norm(u_ref.values - result.u_atc.values))
     consistency = float(
         np.linalg.norm(u_ref.window(L + 1, nbar) - u_c_lift.window(L + 1, nbar))
     )
-    q_delta = coupling.apply_q(chain, decomp, coupling.ControlPair.from_array(delta))
+    q_delta = coupling.apply_q(chain, decomp, coupling.ControlPair.from_array(delta), system)
     q_delta_norm = float(np.linalg.norm(q_delta.values))
     delta_star = coupling.gram_norm(system, delta)
-    q_norm = estimate_q_norm(chain, decomp)
+    q_norm = estimate_q_norm(chain, decomp, system)
     model_overlap = float(np.linalg.norm(u_ref.window(K, L) - u_c_lift.window(K, L)))
     model_window = float(np.linalg.norm(u_ref.window(K, nbar) - u_c_lift.values))
     return {
@@ -645,7 +629,6 @@ class SweepConfig:
     k2: float = -1.0 / 6.0
     force: object = "sines:1,0,-3"
     normalize_load: bool = True
-    max_workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -692,12 +675,7 @@ def convergence_sweep(config: SweepConfig) -> SweepResult:
             skipped.append(f"N={N}: window (K={K}, L={L}) infeasible")
         else:
             feasible.append(N)
-    workers = max(1, int(config.max_workers))
-    if workers > 1 and len(feasible) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda n: _sweep_row(config, n), feasible))
-    else:
-        rows = [_sweep_row(config, n) for n in feasible]
+    rows = [_sweep_row(config, n) for n in feasible]
     eps = [1.0 / r.N for r in rows]
     return SweepResult(
         rows=tuple(rows),
@@ -738,7 +716,6 @@ def verification_battery(
     chain: ChainModel,
     decomp: Decomposition,
     seed: int = 0,
-    n_stability: int = 200,
     tolerances: dict | None = None,
 ) -> list[CheckResult]:
     """Run the full invariant battery on one configuration.
@@ -781,7 +758,7 @@ def verification_battery(
         )
     )
 
-    stability = verify_stability(chain, decomp, n_stability, rng)
+    stability = verify_stability(chain, decomp, system)
     checks.append(
         CheckResult(
             "lifting_stability",

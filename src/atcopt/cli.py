@@ -253,7 +253,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if settings.get("force") != "zero"
         else "sines:1,0,-3",
         normalize_load=not args.raw_load,
-        max_workers=int(os.environ.get("ATCOPT_THREADS", "1")),
     )
     result = analysis.convergence_sweep(config)
     _atomic_write(args.sweep_csv, analysis.study_rows_csv_text(result.rows))

@@ -1,12 +1,21 @@
 """Virtual-control coupling of the atomistic and continuum windows.
 
 The coupled problem minimizes the squared l2 mismatch of the two
-subdomain states over the overlap ``[K, L]`` with respect to three
-virtual Dirichlet controls: the pair ``(theta_a[L-1], theta_a[L])`` on
-the atomistic interface and ``theta_c[K]`` on the continuum interface.
-Because the subdomain solves are linear, the reduced objective is a
-positive definite quadratic in the controls; it is assembled from three
-basis lifting solves and minimized by one small symmetric solve.
+subdomain states over the overlap ``[K, L]`` with respect to virtual
+Dirichlet controls: the pair ``(theta_a[L-1], theta_a[L])`` on the
+atomistic interface and ``theta_c[K]`` on the continuum interface.
+
+One pipeline serves both coupling variants.  It factors each window
+operator once and solves, with that factor, the load column (true
+boundary values, zero controls) together with one unit-lift column per
+interface node.  The subdomain problems are linear, so each window state
+is affine in the controls, ``u = u0 + sum_i theta_i w_i``: the reduced
+objective is a positive definite quadratic built from the lifts over the
+overlap, one small symmetric solve minimizes it, and the states are then
+recovered from the same lifts without solving again.  The variants
+differ only in the continuum window: the Cauchy-Born operator with the
+one-node interface ``{K}``, whose lift is the exact linear ramp and
+needs no column, or the atomistic operator with the pair ``{K, K+1}``.
 """
 
 from __future__ import annotations
@@ -19,10 +28,13 @@ import numpy as np
 
 from .lattice import ChainModel, Decomposition, DisplacementField, OuterBoundary, _readonly
 from .operators import _apply_atomistic, _apply_continuum
-from .solvers import (
+
+# solve_atomistic_on_continuum stays importable here for callers that patch it
+from .solvers import (  # noqa: F401
     solve_atomistic_on_continuum,
     solve_atomistic_subproblem,
     solve_continuum_subproblem,
+    solve_window,
 )
 
 __all__ = [
@@ -42,7 +54,6 @@ __all__ = [
     "solve_atc",
     "solve_atc_consistent",
     "apply_q",
-    "apply_p",
     "continuum_trace_lifting",
     "gram_norm",
     "atc_csv_text",
@@ -87,10 +98,14 @@ class ControlPair:
 class ReducedSystem:
     """Quadratic reduced problem in the controls.
 
-    ``gram[i, j]`` is the overlap inner product of the basis responses
-    ``w1 = lift_a(1, 0)``, ``w2 = lift_a(0, 1)``, ``w3 = -lift_c(1)``;
-    ``rhs`` is minus the overlap inner product of the homogeneous-state
-    gap with each response.
+    ``basis_liftings`` are the zero-load window responses to a unit value
+    on one interface node each: ``w1 = lift_a(1, 0)`` and
+    ``w2 = lift_a(0, 1)`` on the atomistic window, then one continuum lift
+    per continuum interface node (``w3 = lift_c(1)`` for the Cauchy-Born
+    variant).  ``gram[i, j]`` is the overlap inner product of the
+    responses ``w1, w2, -w3, ...``; ``rhs`` is minus the overlap inner
+    product of the homogeneous-state gap ``u_a0 - u_c0`` with each
+    response.
     """
 
     gram: np.ndarray
@@ -102,10 +117,27 @@ class ReducedSystem:
     bc: OuterBoundary
     min_eigenvalue: float
     condition: float
+    variant: str = "cauchy-born"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gram", _readonly(self.gram))
         object.__setattr__(self, "rhs", _readonly(self.rhs))
+
+    def states(self, theta, affine: bool = True) -> tuple[DisplacementField, DisplacementField]:
+        """Window states ``u0 + sum_i theta_i w_i`` at controls ``theta``.
+
+        With ``affine=False`` the homogeneous states ``u0`` are left out:
+        the linear part of the recovery.
+        """
+        theta = np.asarray(theta, dtype=float)
+        fields = []
+        for base, lifts, coeffs in ((self.u_a0, self.basis_liftings[:2], theta[:2]),
+                                    (self.u_c0, self.basis_liftings[2:], theta[2:])):
+            values = base.values if affine else 0.0
+            for t, w in zip(coeffs, lifts):
+                values = values + t * w.values
+            fields.append(DisplacementField(base.lo, base.hi, values, base.domain_tag))
+        return fields[0], fields[1]
 
 
 @dataclass(frozen=True)
@@ -126,6 +158,8 @@ class MismatchReport:
 
 @dataclass(frozen=True)
 class AtcResult:
+    """Coupled solution, its window states, and the reduced system behind them."""
+
     controls: ControlPair
     u_a_op: DisplacementField
     u_c_op: DisplacementField
@@ -133,18 +167,15 @@ class AtcResult:
     mismatch: float
     mismatch_split: MismatchReport
     diagnostics: dict
+    system: ReducedSystem
 
 
 def homogeneous_states(
     chain: ChainModel, decomp: Decomposition, bc: OuterBoundary | None = None
 ) -> tuple[DisplacementField, DisplacementField]:
     """Subdomain states carrying the load with zero virtual interface values."""
-    bc = bc or OuterBoundary()
-    u_a0 = solve_atomistic_subproblem(
-        chain, decomp, (0.0, 0.0), gamma_minus=(bc.u0, bc.u1)
-    )
-    u_c0 = solve_continuum_subproblem(chain, decomp, 0.0, gamma_plus=bc.u_nm1)
-    return u_a0, u_c0
+    system = assemble_reduced_system(chain, decomp, bc)
+    return system.u_a0, system.u_c0
 
 
 def lift_atomistic(
@@ -178,18 +209,45 @@ def mismatch_norm(
     return MismatchReport(float(np.sum(sq)), at_cont, interior, at_atom)
 
 
-def assemble_reduced_system(
-    chain: ChainModel, decomp: Decomposition, bc: OuterBoundary | None = None
+def _load_and_lifts(
+    chain: ChainModel, lo: int, hi: int, fixed: tuple, controls_at_lo: bool, tag: str
+) -> tuple[DisplacementField, tuple[DisplacementField, ...]]:
+    """Homogeneous state and unit-interface lifts of an atomistic-operator window.
+
+    Both window ends are node pairs, solved with one factorization.
+    Column 0 carries the load and the true boundary values ``fixed`` with
+    zero controls; column ``j`` carries a unit value on interface node
+    ``j`` and nothing else.
+    """
+    data = np.column_stack([fixed, np.zeros((2, 2))])
+    unit = np.column_stack([np.zeros(2), np.eye(2)])
+    left, right = (unit, data) if controls_at_lo else (data, unit)
+    values = solve_window(chain, "atomistic", lo, hi, 2, left, right)
+    fields = [DisplacementField(lo, hi, column, tag) for column in values.T]
+    return fields[0], tuple(fields[1:])
+
+
+def _reduce(
+    chain: ChainModel, decomp: Decomposition, bc: OuterBoundary | None, consistent: bool
 ) -> ReducedSystem:
-    """Build the 3x3 reduced quadratic from basis lifting responses."""
+    """Build the reduced quadratic from one solve per window.
+
+    The continuum window ``[K, N-1]`` carries the Cauchy-Born operator
+    with interface ``{K}``, or with ``consistent`` the atomistic operator
+    on ``[K, N]`` with interface ``{K, K+1}``.
+    """
     bc = bc or OuterBoundary()
-    u_a0, u_c0 = homogeneous_states(chain, decomp, bc)
-    w1 = lift_atomistic(chain, decomp, (1.0, 0.0))
-    w2 = lift_atomistic(chain, decomp, (0.0, 1.0))
-    w3 = lift_continuum(decomp, 1.0)
     K, L = decomp.K, decomp.L
+    variant = "atomistic-consistent" if consistent else "cauchy-born"
+    u_a0, lifts_a = _load_and_lifts(chain, 0, L, (bc.u0, bc.u1), False, "atomistic")
+    if consistent:
+        u_c0, lifts_c = _load_and_lifts(chain, K, decomp.N, (bc.u_nm1, bc.u_n), True, "continuum")
+    else:
+        # the three-point operator is exact on linear functions: the lift is the ramp
+        u_c0 = solve_continuum_subproblem(chain, decomp, 0.0, gamma_plus=bc.u_nm1)
+        lifts_c = (lift_continuum(decomp, 1.0),)
     responses = np.vstack(
-        [w1.window(K, L), w2.window(K, L), -w3.window(K, L)]
+        [v.window(K, L) for v in lifts_a] + [-v.window(K, L) for v in lifts_c]
     )
     gram = responses @ responses.T
     gap = u_a0.window(K, L) - u_c0.window(K, L)
@@ -198,17 +256,27 @@ def assemble_reduced_system(
     min_eig = float(eigenvalues[0])
     if min_eig <= 0.0:
         raise CouplingError(
-            f"reduced interface system is not positive definite (min eig {min_eig:.3e})"
+            f"{variant} interface system is not positive definite "
+            f"(min eig {min_eig:.3e})"
         )
     condition = float(eigenvalues[-1] / min_eig)
     if condition > GRAM_CONDITION_WARN:
         warnings.warn(
-            f"reduced interface system condition {condition:.3e} exceeds "
+            f"{variant} interface system condition {condition:.3e} exceeds "
             f"{GRAM_CONDITION_WARN:.0e}; controls may lose accuracy",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return ReducedSystem(gram, rhs, (w1, w2, w3), u_a0, u_c0, decomp, bc, min_eig, condition)
+    return ReducedSystem(
+        gram, rhs, (*lifts_a, *lifts_c), u_a0, u_c0, decomp, bc, min_eig, condition, variant
+    )
+
+
+def assemble_reduced_system(
+    chain: ChainModel, decomp: Decomposition, bc: OuterBoundary | None = None
+) -> ReducedSystem:
+    """Build the 3x3 reduced quadratic of the Cauchy-Born coupling."""
+    return _reduce(chain, decomp, bc, consistent=False)
 
 
 def _solve_sym(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -266,6 +334,25 @@ def _compose(
     return DisplacementField(0, N, values, "global")
 
 
+def _recover(chain: ChainModel, system: ReducedSystem, theta: np.ndarray) -> AtcResult:
+    """Window states at ``theta`` by linearity, glued into the coupled result."""
+    decomp = system.decomp
+    u_a, u_c = system.states(theta)
+    u_atc = _compose(decomp, u_a, u_c, system.bc.u_n)
+    split = mismatch_norm(u_a, u_c, decomp)
+    diagnostics = {
+        "gamma": decomp.gamma,
+        "variant": system.variant,
+        **_state_residuals(chain, u_a, u_c, system.variant == "cauchy-born"),
+        "gram_condition": system.condition,
+        "gram_min_eigenvalue": system.min_eigenvalue,
+    }
+    if len(theta) > 3:
+        diagnostics["theta_c_kp1"] = float(theta[3])
+    controls = ControlPair.from_array(theta)
+    return AtcResult(controls, u_a, u_c, u_atc, split.total, split, diagnostics, system)
+
+
 def compose_atc(
     chain: ChainModel,
     decomp: Decomposition,
@@ -273,35 +360,22 @@ def compose_atc(
     bc: OuterBoundary | None = None,
     system: ReducedSystem | None = None,
 ) -> AtcResult:
-    """Recover subdomain states from controls and glue the chain-wide field."""
-    bc = bc or OuterBoundary()
-    u_a_op = solve_atomistic_subproblem(
-        chain, decomp, controls.theta_a, gamma_minus=(bc.u0, bc.u1)
-    )
-    u_c_op = solve_continuum_subproblem(
-        chain, decomp, controls.theta_c_k, gamma_plus=bc.u_nm1
-    )
-    u_atc = _compose(decomp, u_a_op, u_c_op, bc.u_n)
-    split = mismatch_norm(u_a_op, u_c_op, decomp)
-    diagnostics = {
-        "gamma": decomp.gamma,
-        "variant": "cauchy-born",
-        **_state_residuals(chain, u_a_op, u_c_op),
-    }
-    if system is not None:
-        diagnostics["gram_condition"] = system.condition
-        diagnostics["gram_min_eigenvalue"] = system.min_eigenvalue
-    return AtcResult(controls, u_a_op, u_c_op, u_atc, split.total, split, diagnostics)
+    """Recover subdomain states from controls and glue the chain-wide field.
+
+    The states come from the lifts of ``system``, assembled here when
+    none is given.
+    """
+    if system is None:
+        system = assemble_reduced_system(chain, decomp, bc)
+    return _recover(chain, system, controls.as_array())
 
 
 def solve_atc(
     chain: ChainModel, decomp: Decomposition, bc: OuterBoundary | None = None
 ) -> AtcResult:
     """End-to-end coupled solve: assemble, minimize, recover states, glue."""
-    bc = bc or OuterBoundary()
     system = assemble_reduced_system(chain, decomp, bc)
-    controls = solve_controls(system)
-    return compose_atc(chain, decomp, controls, bc, system)
+    return compose_atc(chain, decomp, solve_controls(system), system=system)
 
 
 def solve_atc_consistent(
@@ -314,71 +388,25 @@ def solve_atc_consistent(
     control space is four-dimensional.  The optimum reproduces the
     global atomistic solution; this is the built-in consistency check.
     """
-    bc = bc or OuterBoundary()
-    N, K, L = decomp.N, decomp.K, decomp.L
-    zero = np.zeros(N + 1)
-    right = (bc.u_nm1, bc.u_n)
-
-    u_a0 = solve_atomistic_subproblem(chain, decomp, (0.0, 0.0), gamma_minus=(bc.u0, bc.u1))
-    u_c0 = solve_atomistic_on_continuum(chain, decomp, (0.0, 0.0), gamma_plus_pair=right)
-    lifts = [
-        lift_atomistic(chain, decomp, (1.0, 0.0)),
-        lift_atomistic(chain, decomp, (0.0, 1.0)),
-        solve_atomistic_on_continuum(chain, decomp, (1.0, 0.0), load=zero),
-        solve_atomistic_on_continuum(chain, decomp, (0.0, 1.0), load=zero),
-    ]
-    signs = (1.0, 1.0, -1.0, -1.0)
-    responses = np.vstack([s * w.window(K, L) for s, w in zip(signs, lifts)])
-    gram = responses @ responses.T
-    gap = u_a0.window(K, L) - u_c0.window(K, L)
-    eigenvalues = np.linalg.eigvalsh(gram)
-    if eigenvalues[0] <= 0.0:
-        raise CouplingError(
-            "consistent-variant interface system is not positive definite "
-            f"(min eig {eigenvalues[0]:.3e})"
-        )
-    theta = _solve_sym(gram, -(responses @ gap))
-
-    u_a_op = solve_atomistic_subproblem(
-        chain, decomp, (theta[0], theta[1]), gamma_minus=(bc.u0, bc.u1)
-    )
-    u_c_op = solve_atomistic_on_continuum(
-        chain, decomp, (theta[2], theta[3]), gamma_plus_pair=right
-    )
-    u_atc = _compose(decomp, u_a_op, u_c_op, bc.u_n)
-    split = mismatch_norm(u_a_op, u_c_op, decomp)
-    controls = ControlPair(float(theta[0]), float(theta[1]), float(theta[2]))
-    diagnostics = {
-        "gamma": decomp.gamma,
-        "variant": "atomistic-consistent",
-        "theta_c_kp1": float(theta[3]),
-        "gram_condition": float(eigenvalues[-1] / eigenvalues[0]),
-        "gram_min_eigenvalue": float(eigenvalues[0]),
-        **_state_residuals(chain, u_a_op, u_c_op, continuum_operator=False),
-    }
-    return AtcResult(controls, u_a_op, u_c_op, u_atc, split.total, split, diagnostics)
+    system = _reduce(chain, decomp, bc, consistent=True)
+    return _recover(chain, system, _solve_sym(system.gram, system.rhs))
 
 
 # ---------------------------------------------------------------------------
-# the affine recovery operator and its linear part
+# the linear part of the recovery operator
 
 
-def apply_q(chain: ChainModel, decomp: Decomposition, mu: ControlPair) -> DisplacementField:
-    """Linear part of the recovery: pure liftings glued over the chain."""
-    v_a = lift_atomistic(chain, decomp, mu.theta_a)
-    v_c = lift_continuum(decomp, mu.theta_c_k)
-    return _compose(decomp, v_a, v_c, 0.0)
-
-
-def apply_p(
+def apply_q(
     chain: ChainModel,
     decomp: Decomposition,
     mu: ControlPair,
-    bc: OuterBoundary | None = None,
+    system: ReducedSystem | None = None,
 ) -> DisplacementField:
-    """Affine recovery: liftings plus homogeneous states, glued over the chain."""
-    bc = bc or OuterBoundary()
-    return compose_atc(chain, decomp, mu, bc).u_atc
+    """Linear part of the recovery: the lifts' response glued over the chain."""
+    if system is None:
+        system = assemble_reduced_system(chain, decomp)
+    v_a, v_c = system.states(mu.as_array(), affine=False)
+    return _compose(decomp, v_a, v_c, 0.0)
 
 
 def continuum_trace_lifting(
@@ -387,7 +415,7 @@ def continuum_trace_lifting(
     u_ref: DisplacementField,
     bc: OuterBoundary | None = None,
 ) -> DisplacementField:
-    """Continuum window state whose interface value copies ``u_ref`` at ``K``."""
+    """Continuum window state whose interface value copies ``u_ref`` at ``K`` (direct solve)."""
     bc = bc or OuterBoundary()
     return solve_continuum_subproblem(
         chain, decomp, u_ref[decomp.K], gamma_plus=bc.u_nm1

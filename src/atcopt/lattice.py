@@ -11,6 +11,7 @@ continuum window ``[K, N-1]`` and their overlap ``[K, L]``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -100,9 +101,9 @@ class Decomposition:
     The continuum window uses the single-node artificial boundary ``{K}``
     on the left and the single true boundary node ``{N-1}`` on the right
     (the value at atom ``N`` stays pinned by the outer condition and never
-    enters the three-point continuum stencil).  The two-node variant of
-    the continuum boundary, needed when the full atomistic operator is
-    used on the continuum window, is exposed via the ``*_pair`` members.
+    enters the three-point continuum stencil).  When the full atomistic
+    operator is used on the continuum window, both ends widen to node
+    pairs: ``{K, K+1}`` and ``{N-1, N}``.
     """
 
     N: int
@@ -171,23 +172,6 @@ class Decomposition:
     def bdry_cont_plus(self) -> int:
         return self.N - 1
 
-    # -- two-node continuum convention (atomistic-consistent variant) --
-    @property
-    def omega_cont_pair(self) -> tuple[int, int]:
-        return (self.K, self.N)
-
-    @property
-    def cont_interior_pair(self) -> tuple[int, int]:
-        return (self.K + 2, self.N - 2)
-
-    @property
-    def bdry_cont_minus_pair(self) -> tuple[int, int]:
-        return (self.K, self.K + 1)
-
-    @property
-    def bdry_cont_plus_pair(self) -> tuple[int, int]:
-        return (self.N - 1, self.N)
-
 
 @dataclass(frozen=True)
 class DisplacementField:
@@ -213,9 +197,6 @@ class DisplacementField:
         if not self.lo <= i <= self.hi:
             raise IndexError(f"atom index {i} outside field range [{self.lo}, {self.hi}]")
         return float(self.values[i - self.lo])
-
-    def value(self, i: int) -> float:
-        return self[i]
 
     def window(self, a: int, b: int) -> np.ndarray:
         """Values on the inclusive index range ``[a, b]``."""
@@ -251,9 +232,6 @@ class OuterBoundary:
     @classmethod
     def uniform_strain(cls, N: int, F: float) -> "OuterBoundary":
         return cls(0.0, F, (N - 1) * F, N * F)
-
-    def is_homogeneous(self) -> bool:
-        return self.u0 == self.u1 == self.u_nm1 == self.u_n == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -432,24 +410,25 @@ class AssumptionReport:
     overlap_ok: bool
     warnings: tuple[str, ...]
 
-    @property
-    def all_ok(self) -> bool:
-        return self.growth_ok and self.overlap_ok
-
 
 def validate_assumptions(decomp: Decomposition, p: float, c: float = 2.0) -> AssumptionReport:
-    """Check ``L <= c * N**(1/p)`` and ``3/L < gamma < 1`` (warnings only)."""
+    """Check ``L <= ceil(c * N**(1/p))`` and ``3/L < gamma < 1`` (warnings only).
+
+    The growth bound is the integer window of the sizing rule, so a
+    window derived from ``(p, c)`` never warns.
+    """
     if not p > 1:
         raise ValueError(f"p = {p}: the sizing exponent must exceed 1")
     growth_bound = c * decomp.N ** (1.0 / p)
-    growth_ok = decomp.L <= growth_bound
+    growth_ok = decomp.L <= math.ceil(growth_bound)
     overlap_lower = 3.0 / decomp.L
     gamma = decomp.gamma
     overlap_ok = overlap_lower < gamma < 1.0
     warnings = []
     if not growth_ok:
         warnings.append(
-            f"atomistic window L = {decomp.L} exceeds c*N^(1/p) = {growth_bound:.6g}"
+            f"atomistic window L = {decomp.L} exceeds ceil(c*N^(1/p)) = "
+            f"{math.ceil(growth_bound)}"
         )
     if not overlap_ok:
         warnings.append(

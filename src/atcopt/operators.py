@@ -10,7 +10,6 @@ assembled system is symmetric positive definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -79,7 +78,8 @@ class BandedSystem:
     ``bands[k, j]`` holds matrix entry ``(j + k, j)``; row 0 is the
     diagonal.  ``index_offset`` maps local row 0 to its global atom
     index, so unknown ``j`` is the displacement of atom
-    ``index_offset + j``.
+    ``index_offset + j``.  ``rhs`` is one column of shape ``(size,)`` or
+    a stack of columns of shape ``(size, columns)``.
     """
 
     size: int
@@ -94,8 +94,9 @@ class BandedSystem:
         if b.shape != (self.half_bandwidth + 1, self.size):
             raise ValueError(f"bands have shape {b.shape}, expected "
                              f"({self.half_bandwidth + 1}, {self.size})")
-        if r.shape != (self.size,):
-            raise ValueError(f"rhs has shape {r.shape}, expected ({self.size},)")
+        if r.ndim not in (1, 2) or r.shape[0] != self.size:
+            raise ValueError(f"rhs has shape {r.shape}, expected ({self.size},) "
+                             f"or ({self.size}, columns)")
         object.__setattr__(self, "bands", _readonly(b))
         object.__setattr__(self, "rhs", _readonly(r))
 
@@ -108,29 +109,15 @@ class BandedSystem:
         return a
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Product with a vector or, column by column, with a matrix of columns."""
         x = np.asarray(x, dtype=float)
-        y = self.bands[0] * x
+        bands = self.bands.reshape(self.bands.shape + (1,) * (x.ndim - 1))
+        y = bands[0] * x
         for k in range(1, min(self.half_bandwidth, self.size - 1) + 1):
-            d = self.bands[k, : self.size - k]
+            d = bands[k, : self.size - k]
             y[k:] += d * x[:-k]
             y[:-k] += d * x[k:]
         return y
-
-    def triplets_text(self) -> str:
-        """Symmetric entries as ``row col value`` lines with global atom indices."""
-        lines = []
-        for k in range(self.half_bandwidth + 1):
-            for j in range(self.size - k):
-                i = j + k
-                val = self.bands[k, j]
-                lines.append(f"{i + self.index_offset} {j + self.index_offset} {val:.17g}")
-                if k:
-                    lines.append(f"{j + self.index_offset} {i + self.index_offset} {val:.17g}")
-        lines.sort(key=lambda s: (int(s.split()[0]), int(s.split()[1])))
-        return "\n".join(lines) + "\n"
-
-    def write_triplets(self, path) -> None:
-        Path(path).write_text(self.triplets_text())
 
 
 def _assemble(
@@ -138,13 +125,14 @@ def _assemble(
     interior: tuple[int, int],
     load: np.ndarray,
     dirichlet: Mapping[int, float],
-    index_base: int = 0,
 ) -> BandedSystem:
     """Fold Dirichlet data into the rhs and return the SPD banded system.
 
     ``coeffs`` maps stencil offsets to coefficients (symmetric in the
     offset); ``load`` is indexed by global atom index; ``dirichlet`` must
-    supply every site the stencil reaches outside ``interior``.
+    supply every site the stencil reaches outside ``interior``.  Its
+    values may be vectors, one entry per right-hand-side column: the load
+    enters the first column only, so the others are zero-load liftings.
     """
     lo, hi = interior
     if hi < lo:
@@ -155,7 +143,9 @@ def _assemble(
     bands[0, :] = coeffs[0]
     for k in range(1, hb + 1):
         bands[k, : n - k] = coeffs[k]
-    rhs = np.array(load[lo : hi + 1], dtype=float)
+    columns = max((np.size(v) for v in dirichlet.values()), default=1)
+    rhs = np.zeros((n, columns))
+    rhs[:, 0] = load[lo : hi + 1]
     for i in (*range(lo, min(lo + hb, hi) + 1), *range(max(hi - hb + 1, lo), hi + 1)):
         for off in range(-hb, hb + 1):
             if off == 0:
@@ -167,8 +157,8 @@ def _assemble(
                 raise ValueError(
                     f"missing Dirichlet value at site {j}, required by the stencil at {i}"
                 )
-            rhs[i - lo] -= coeffs[abs(off)] * dirichlet[j]
-    return BandedSystem(n, hb, bands, rhs, lo + index_base)
+            rhs[i - lo] -= coeffs[abs(off)] * np.asarray(dirichlet[j])
+    return BandedSystem(n, hb, bands, rhs if columns > 1 else rhs[:, 0], lo)
 
 
 def _atomistic_coeffs(chain: ChainModel) -> dict[int, float]:

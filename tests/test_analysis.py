@@ -201,7 +201,7 @@ class TestOverlapForm:
 class TestStability:
     def test_continuum_bound_never_fails(self, rng):
         chain, d = random_instance(rng, n_max=400)
-        report = verify_stability(chain, d, 200, rng)
+        report = verify_stability(chain, d)
         assert report.continuum_violations == 0
         assert report.continuum_max_ratio <= 1.0
 
@@ -210,8 +210,7 @@ class TestStability:
         for N in (100, 400, 1600):
             K, L = sweep_windows(N, 2.0, 0.5, 2.0)
             chain = make_chain(N, "zero")
-            report = verify_stability(chain, decompose(chain, K, L), 50,
-                                      np.random.default_rng(7))
+            report = verify_stability(chain, decompose(chain, K, L))
             consts.append(report.atomistic_constant)
         assert max(consts) / min(consts) < 2.0
 
@@ -281,12 +280,6 @@ class TestConvergenceSweep:
         assert lines[0] == "N,K,L,gamma,p,err_atc,err_model,bound_rhs,q_norm_est,mismatch,eps_scaled_err"
         assert len(lines) == 3
         assert int(lines[1].split(",")[0]) == 100
-
-    def test_thread_pool_matches_serial(self):
-        serial = convergence_sweep(SweepConfig(N_values=(100, 400)))
-        threaded = convergence_sweep(SweepConfig(N_values=(100, 400), max_workers=2))
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a == b
 
 
 class TestBattery:

@@ -70,6 +70,31 @@ class TestSolve:
         assert code == 0
         assert "derived interfaces" in capsys.readouterr().err
 
+    def test_derived_window_prints_no_growth_warning(self, tmp_path, monkeypatch, capsys):
+        # c*sqrt(N) = 63.25 is not an integer, so the derived L = 64 exceeds it
+        code = run_cli(["solve", "--N", "1000", "--force", "sine:1"], tmp_path, monkeypatch)
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "derived interfaces K=32, L=64" in err
+        assert "warning" not in err
+
+    def test_window_one_past_the_sizing_rule_warns(self, tmp_path, monkeypatch, capsys):
+        code = run_cli(["solve", "--N", "1000", "--K", "32", "--L", "65", "--force", "sine:1"],
+                       tmp_path, monkeypatch)
+        assert code == 0
+        assert "warning: atomistic window L = 65 exceeds ceil(c*N^(1/p)) = 64" in (
+            capsys.readouterr().err
+        )
+
+    def test_unscaled_sine_load_at_large_n(self, tmp_path, monkeypatch):
+        # the window systems are N^2-conditioned; a backward-stable solve of
+        # an unscaled smooth load must be accepted at any size
+        code = run_cli(["solve", "--N", "10000", "--K", "100", "--L", "200",
+                        "--force", "sine:1"], tmp_path, monkeypatch)
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert np.isfinite(summary["mismatch"])
+
 
 class TestPatchTest:
     def test_pass(self, tmp_path, monkeypatch):
@@ -116,16 +141,3 @@ class TestSweep:
 
     def test_missing_sizes_is_validation_error(self, tmp_path, monkeypatch):
         assert run_cli(["sweep"], tmp_path, monkeypatch) == 1
-
-    def test_thread_count_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ATCOPT_THREADS", "2")
-        serial_dir = tmp_path / "s"
-        serial_dir.mkdir()
-        assert run_cli(["sweep", "--N-list", "100,400"], serial_dir, monkeypatch) == 0
-        monkeypatch.setenv("ATCOPT_THREADS", "1")
-        threaded_dir = tmp_path / "t"
-        threaded_dir.mkdir()
-        assert run_cli(["sweep", "--N-list", "100,400"], threaded_dir, monkeypatch) == 0
-        assert (serial_dir / "sweep.csv").read_bytes() == (
-            threaded_dir / "sweep.csv"
-        ).read_bytes()

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ class TestAssumptions:
         chain = build_chain(100, 1.0, -1.0 / 6.0, "zero")
         report = validate_assumptions(decompose(chain, 25, 50), p=2.0, c=2.0)
         assert not report.growth_ok  # 50 > 20
+        assert report.warnings
+
+    @pytest.mark.parametrize("N,p,c", [(1000, 2.0, 2.0), (100000, 2.0, 2.0), (5000, 3.0, 1.5)])
+    def test_sizing_rule_window_passes_and_one_more_warns(self, N, p, c):
+        # the rule's window ceil(c*N^(1/p)) exceeds the unrounded bound here
+        L = math.ceil(c * N ** (1.0 / p))
+        assert L > c * N ** (1.0 / p)
+        chain = build_chain(N, 1.0, -1.0 / 6.0, "zero")
+        assert validate_assumptions(decompose(chain, L // 2, L), p=p, c=c).growth_ok
+        report = validate_assumptions(decompose(chain, L // 2, L + 1), p=p, c=c)
+        assert not report.growth_ok
         assert report.warnings
 
     def test_large_chain_pass(self):

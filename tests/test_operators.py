@@ -168,15 +168,15 @@ class TestBandedSystem:
         x = rng.standard_normal(sys_.size)
         assert sys_.matvec(x) == pytest.approx(sys_.to_dense() @ x)
 
-    def test_triplet_dump(self, tmp_path):
+    def test_band_entries_and_index_offset(self):
         chain = build_chain(8, 1.0, -1.0 / 6.0, "zero")
         sys_ = assemble_continuum(chain, chain.interior, {1: 0.0, 7: 0.0})
-        path = tmp_path / "matrix.txt"
-        sys_.write_triplets(path)
-        rows = [line.split() for line in path.read_text().splitlines()]
-        entries = {(int(r), int(c)): float(v) for r, c, v in rows}
-        # global indices: interior starts at atom 2
-        assert entries[(2, 2)] == pytest.approx(2.0 / 3.0)
-        assert entries[(2, 3)] == pytest.approx(-1.0 / 3.0)
-        assert entries[(3, 2)] == pytest.approx(-1.0 / 3.0)
-        assert (2, 4) not in entries
+        # global indices: interior starts at atom 2, so local row j is atom 2 + j
+        assert sys_.index_offset == 2
+        assert sys_.half_bandwidth == 1
+        # entry (i, j) of the matrix sits at bands[i - j, j] (lower storage)
+        assert sys_.bands[0, 0] == pytest.approx(2.0 / 3.0)  # (2, 2)
+        assert sys_.bands[1, 0] == pytest.approx(-1.0 / 3.0)  # (3, 2), and (2, 3) by symmetry
+        dense = sys_.to_dense()
+        assert dense[0, 1] == dense[1, 0] == pytest.approx(-1.0 / 3.0)
+        assert dense[0, 2] == 0.0  # (2, 4) is outside the tridiagonal band

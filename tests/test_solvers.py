@@ -13,9 +13,11 @@ from atcopt import (
     solve_full_atomistic,
     solve_full_continuum,
 )
-from atcopt.operators import BandedSystem
+from atcopt.operators import BandedSystem, assemble_atomistic
 from atcopt.solvers import (
+    BACKWARD_ERROR_TOL,
     FactorizationError,
+    ResidualError,
     displacement_csv_text,
     solve_atomistic_on_continuum,
 )
@@ -26,14 +28,14 @@ class TestSolveBanded:
     def test_scalar_system(self):
         sys_ = BandedSystem(1, 0, np.array([[5.0 / 3.0]]), np.array([1.0]), 2)
         report = solve_banded(sys_)
-        assert report.solution.values[0] == pytest.approx(0.6)
-        assert report.factorization_ok
+        assert report.values[0] == pytest.approx(0.6)
+        assert report.backward_error <= BACKWARD_ERROR_TOL
         assert report.residual_inf <= 1e-10 * 2.0
 
     def test_diagonal_system_returns_rhs(self, rng):
         rhs = rng.standard_normal(9)
         sys_ = BandedSystem(9, 0, np.ones((1, 9)), rhs, 0)
-        assert solve_banded(sys_).solution.values == pytest.approx(rhs)
+        assert solve_banded(sys_).values == pytest.approx(rhs)
 
     def test_random_banded_vs_dense(self, rng):
         # SPD by diagonal dominance; dense factorization is the oracle
@@ -44,8 +46,8 @@ class TestSolveBanded:
         bands[0] = 4.0 + rng.uniform(0.0, 1.0, n)
         rhs = rng.standard_normal(n)
         sys_ = BandedSystem(n, 2, bands, rhs, 0)
-        x_banded = solve_banded(sys_).solution.values
-        x_dense = solve_dense(sys_).solution.values
+        x_banded = solve_banded(sys_).values
+        x_dense = solve_dense(sys_).values
         rel = np.linalg.norm(x_banded - x_dense) / np.linalg.norm(x_dense)
         assert rel <= 1e-12
 
@@ -55,11 +57,55 @@ class TestSolveBanded:
         with pytest.raises(FactorizationError, match="minor"):
             solve_banded(sys_)
 
+    def test_stacked_columns_match_single_solves(self, rng):
+        chain = make_chain(50, "zero")
+        columns = rng.standard_normal((47, 3))
+        bands = assemble_atomistic(chain, chain.interior, dict.fromkeys((0, 1, 49, 50), 0.0)).bands
+        stacked = solve_banded(BandedSystem(47, 2, bands, columns, 2)).values
+        assert stacked.shape == (47, 3)
+        for j in range(3):
+            single = solve_banded(BandedSystem(47, 2, bands, columns[:, j], 2)).values
+            np.testing.assert_allclose(stacked[:, j], single, rtol=1e-13, atol=0.0)
+
     def test_deterministic_bitwise(self):
         chain = make_chain(60, "sine:2")
         a = solve_full_atomistic(chain).values
         b = solve_full_atomistic(chain).values
         assert np.array_equal(a, b)
+
+
+class TestBackwardErrorAcceptance:
+    @pytest.mark.parametrize("N", [10_000, 100_000])
+    @pytest.mark.parametrize("kind", ["sine", "point"])
+    def test_unscaled_loads_accepted(self, N, kind):
+        # the window systems are N^2-conditioned, so the absolute residual of
+        # an unscaled load grows with N while the backward error stays at eps
+        chain = make_chain(N, "sine:1" if kind == "sine" else f"point:{N // 3}:1.0")
+        v = solve_full_atomistic(chain).values
+        residual = (
+            -chain.k1 * (v[1:-3] - 2.0 * v[2:-2] + v[3:-1])
+            - chain.k2 * (v[:-4] - 2.0 * v[2:-2] + v[4:])
+            - chain.force[2:-2]
+        )
+        a_norm = 4.0 * chain.k1  # row sum 2(k1 + k2) + 2 k1 + 2|k2|
+        scale = a_norm * np.max(np.abs(v)) + np.max(np.abs(chain.force))
+        assert np.max(np.abs(residual)) / scale <= BACKWARD_ERROR_TOL
+
+    @pytest.mark.parametrize("force", ["sine:1", "point:500:1.0"])
+    def test_perturbed_solution_raises(self, monkeypatch, force):
+        import atcopt.solvers
+
+        # scaling every triangular solve by 1.001 leaves the solution scaled
+        # by 1 - 1e-6 after the refinement step: a backward error of about
+        # 1e-6 |b| / (|A| |x|), far above rounding level
+        original = atcopt.solvers.cho_solve_banded
+        monkeypatch.setattr(
+            atcopt.solvers,
+            "cho_solve_banded",
+            lambda *args, **kwargs: original(*args, **kwargs) * 1.001,
+        )
+        with pytest.raises(ResidualError, match="backward error"):
+            solve_full_atomistic(make_chain(1000, force))
 
 
 class TestFullSolves:
