@@ -31,6 +31,7 @@ from .operators import _apply_atomistic, _apply_continuum
 
 # solve_atomistic_on_continuum stays importable here for callers that patch it
 from .solvers import (  # noqa: F401
+    fields_csv_text,
     solve_atomistic_on_continuum,
     solve_atomistic_subproblem,
     solve_continuum_subproblem,
@@ -428,16 +429,8 @@ def continuum_trace_lifting(
 
 def atc_csv_text(result: AtcResult, decomp: Decomposition) -> str:
     """CSV rows ``atom_index, u_atc, u_a_op, u_c_op`` (blank outside windows)."""
-    u_atc, u_a, u_c = result.u_atc, result.u_a_op, result.u_c_op
-    for f in (u_atc, u_a, u_c):
-        if not np.all(np.isfinite(f.values)):
-            raise ValueError("refusing to write non-finite displacements")
-    lines = ["atom_index,u_atc,u_a_op,u_c_op"]
-    for i in range(u_atc.lo, u_atc.hi + 1):
-        a = f"{u_a[i]:.17g}" if u_a.lo <= i <= u_a.hi else ""
-        c = f"{u_c[i]:.17g}" if u_c.lo <= i <= u_c.hi else ""
-        lines.append(f"{i},{u_atc[i]:.17g},{a},{c}")
-    return "\n".join(lines) + "\n"
+    fields = [result.u_atc, result.u_a_op, result.u_c_op]
+    return fields_csv_text("atom_index,u_atc,u_a_op,u_c_op", fields)
 
 
 def atc_summary_dict(result: AtcResult, decomp: Decomposition) -> dict:

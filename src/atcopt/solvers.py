@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 BACKWARD_ERROR_TOL = 16.0 * np.finfo(float).eps
+CSV_CHUNK_ROWS = 4096  # rows formatted per string; bounds the export's peak memory
 
 
 class SolverError(RuntimeError):
@@ -309,12 +310,35 @@ def modeling_error_bound(
 # CSV export
 
 
+def fields_csv_text(header: str, fields: list[DisplacementField]) -> str:
+    """CSV ``header`` then rows ``i,v0,v1,...`` at ``.17g`` over the first field's range.
+
+    A column is blank outside its field's range.  Each chunk of rows formats
+    the first field in one call; a later field reuses those strings where its
+    bits are equal (so ``-0.0`` stays apart from ``0.0``) and formats the rest.
+    """
+    if not all(np.all(np.isfinite(f.values)) for f in fields):
+        raise ValueError("refusing to write non-finite displacements")
+    base, chunks = fields[0], [header + "\n"]
+    for a in range(base.lo, base.hi + 1, CSV_CHUNK_ROWS):
+        b = min(a + CSV_CHUNK_ROWS - 1, base.hi)
+        x = base.window(a, b)
+        s = ("%.17g," * len(x) % tuple(x.tolist())).split(",")[:-1]
+        cols = [map(str, range(a, b + 1)), s]
+        for f in fields[1:]:
+            lo, hi = max(a, f.lo) - a, min(b, f.hi) - a
+            col = [""] * len(s)
+            if lo <= hi:
+                col[lo : hi + 1] = s[lo : hi + 1]
+                v = f.window(a + lo, a + hi)
+                diff = np.flatnonzero(v.view(np.int64) != x[lo : hi + 1].view(np.int64))
+                for j, t in zip(diff.tolist(), v[diff].tolist()):
+                    col[lo + j] = f"{t:.17g}"
+            cols.append(col)
+        chunks.append("\n".join(map(",".join, zip(*cols))) + "\n")
+    return "".join(chunks)
+
+
 def displacement_csv_text(field: DisplacementField) -> str:
     """CSV with columns ``atom_index, displacement`` at full precision."""
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("refusing to write non-finite displacements")
-    lines = ["atom_index,displacement"]
-    for i, v in zip(range(field.lo, field.hi + 1), field.values):
-        lines.append(f"{i},{v:.17g}")
-    return "\n".join(lines) + "\n"
-
+    return fields_csv_text("atom_index,displacement", [field])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import atcopt.analysis
 from atcopt import (
+    ControlPair,
     alpha_coefficients,
     build_chain,
     characteristic_roots,
@@ -12,6 +14,7 @@ from atcopt import (
     mode_decomposition,
     overlap_quadratic_form,
     patch_test,
+    solve_atc,
     verify_stability,
 )
 from atcopt.analysis import (
@@ -289,3 +292,32 @@ class TestBattery:
         assert len(checks) == 8
         failed = [c.name for c in checks if not c.passed]
         assert failed == []
+
+    @staticmethod
+    def _instance(N, force):
+        chain = make_chain(N, force)
+        return chain, decompose(chain, *sweep_windows(N, 2.0, 0.5, 2.0))
+
+    @pytest.mark.parametrize("scale, lo, hi", [(1e-5, 0.1, 1.0), (1.0, 1e4, 1e6)])
+    def test_minimizer_check_scales_with_controls(self, monkeypatch, scale, lo, hi):
+        # unit-scale controls, and the controls of the unscaled load 0.5,0.2,-0.7
+        force = "sines:" + ",".join(repr(a * scale) for a in (0.5, 0.2, -0.7))
+        instance = self._instance(2500, force)
+        theta_inf = np.max(np.abs(solve_atc(*instance).controls.as_array()))
+        assert lo <= theta_inf <= hi
+
+        def minimizer_check():
+            checks = verification_battery(*instance)
+            return next(c for c in checks if c.name == "independent_minimizer")
+
+        check = minimizer_check()
+        assert check.passed
+        assert check.tolerance == pytest.approx(1e-8 * max(1.0, theta_inf), rel=1e-6)
+        # an oracle off by 1e-6 relative still fails
+        real = atcopt.analysis.fd_newton_controls
+        monkeypatch.setattr(
+            atcopt.analysis,
+            "fd_newton_controls",
+            lambda *a: ControlPair.from_array(real(*a).as_array() * (1.0 + 1e-6)),
+        )
+        assert not minimizer_check().passed

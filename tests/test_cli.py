@@ -122,6 +122,12 @@ class TestVerify:
                 "control_gap_inequalities", "mode_decomposition", "overlap_form",
                 "atomistic_consistent_equivalence", "independent_minimizer"} == names
 
+    def test_unscaled_load_passes(self, tmp_path, monkeypatch):
+        # the independent-minimizer gap scales with the controls (about 9e4 here)
+        code = run_cli(["verify", "--N", "2500", "--force", "sines:0.5,0.2,-0.7"],
+                       tmp_path, monkeypatch)
+        assert code == 0
+
     def test_tolerance_override_can_fail(self, tmp_path, monkeypatch):
         code = run_cli(
             ["verify", "--N", "40", "--K", "10", "--L", "20", "--force",
