@@ -25,8 +25,6 @@ from .lattice import (
 )
 from .operators import (
     BandedSystem,
-    apply_delta1,
-    apply_delta2,
     assemble_atomistic,
     assemble_continuum,
     operator_identity_report,
@@ -39,7 +37,6 @@ from .solvers import (
     SolverError,
     modeling_error_bound,
     solve_banded,
-    solve_dense,
     solve_full_atomistic,
     solve_full_continuum,
     solve_atomistic_subproblem,
@@ -52,7 +49,6 @@ from .coupling import (
     ReducedSystem,
     assemble_reduced_system,
     compose_atc,
-    homogeneous_states,
     lift_atomistic,
     lift_continuum,
     mismatch_norm,

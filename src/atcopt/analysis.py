@@ -458,18 +458,19 @@ def verify_stability(
 # ---------------------------------------------------------------------------
 # independent minimizer of the reduced objective (test oracle)
 
+NEWTON_ITERATIONS = 3
+
 
 def fd_newton_controls(
-    chain: ChainModel,
-    decomp: Decomposition,
-    bc: OuterBoundary | None = None,
-    iterations: int = 3,
+    chain: ChainModel, decomp: Decomposition, bc: OuterBoundary | None = None
 ) -> coupling.ControlPair:
     """Minimize the overlap mismatch by finite-difference Newton from zero.
 
     Each objective evaluation re-solves both subdomain problems; the
     objective is exactly quadratic, so central differences carry no
-    truncation error and a generous step keeps rounding noise down.
+    truncation error and a generous step keeps rounding noise down.  The
+    first step is exact up to rounding; the later ones correct that
+    rounding.
     """
     bc = bc or OuterBoundary()
     K, L = decomp.K, decomp.L
@@ -486,7 +487,7 @@ def fd_newton_controls(
 
     theta = np.zeros(3)
     eye = np.eye(3)
-    for _ in range(iterations):
+    for _ in range(NEWTON_ITERATIONS):
         h = max(1.0, 0.01 * float(np.max(np.abs(theta))))
         # the axis evaluations serve both the gradient and the Hessian diagonal
         f_axis = [(objective(theta + h * e), objective(theta - h * e)) for e in eye]
@@ -508,6 +509,15 @@ def fd_newton_controls(
 
 # ---------------------------------------------------------------------------
 # error studies against the fully atomistic reference
+
+# The battery's default tolerances and the control-gap slack were set at this
+# chain size and atomistic window.  Rounding in a solve on N (or L) sites
+# grows like N^2 (or L^2), and so do the tolerances that measure it beyond.
+TOLERANCE_N, TOLERANCE_L = 2500, 100
+
+
+def _rounding_growth(size: int, reference: int) -> float:
+    return max(1.0, (size / reference) ** 2)
 
 
 @dataclass(frozen=True)
@@ -561,7 +571,8 @@ def error_split_report(chain: ChainModel, decomp: Decomposition) -> dict:
     window beyond the overlap), the recovery-operator term, the
     control-space gap, and the overlap modeling error, so the chain of
     inequalities can be checked term by term.  The trace lifting and the
-    recovery-operator terms reuse the coupled solve's lifts.
+    recovery-operator terms reuse the coupled solve's lifts.  The slack of
+    ``trace_ok`` grows with the rounding of the N-site reference solve.
     """
     u_ref = solvers.solve_full_atomistic(chain)
     result = coupling.solve_atc(chain, decomp)
@@ -581,6 +592,7 @@ def error_split_report(chain: ChainModel, decomp: Decomposition) -> dict:
     q_norm = estimate_q_norm(chain, decomp, system)
     model_overlap = float(np.linalg.norm(u_ref.window(K, L) - u_c_lift.window(K, L)))
     model_window = float(np.linalg.norm(u_ref.window(K, nbar) - u_c_lift.values))
+    trace_slack = 1e-9 * _rounding_growth(decomp.N, TOLERANCE_N)
     return {
         "err_atc": err_atc,
         "consistency": consistency,
@@ -591,7 +603,7 @@ def error_split_report(chain: ChainModel, decomp: Decomposition) -> dict:
         "model_window": model_window,
         "triangle_ok": err_atc <= consistency + q_delta_norm + 1e-12 * (1.0 + err_atc),
         "operator_ok": q_delta_norm <= q_norm * delta_star * (1.0 + 1e-9) + 1e-13,
-        "trace_ok": delta_star <= model_overlap * (1.0 + 1e-9) + 1e-13,
+        "trace_ok": delta_star <= model_overlap * (1.0 + trace_slack) + 1e-13,
     }
 
 
@@ -718,7 +730,11 @@ def verification_battery(
     Covers the operator identity, positive definiteness of the reduced
     system, lifting stability, the control-gap inequality, both mode
     decompositions, the overlap quadratic form, the atomistic-consistent
-    equivalence, and agreement with the independent minimizer.
+    equivalence, and agreement with the independent minimizer.  The
+    ``mode_residual`` and ``consistent_rel`` tolerances hold up to
+    ``TOLERANCE_L`` and ``TOLERANCE_N`` and grow with the square of the
+    size beyond; ``oracle_abs`` grows with the controls.  Each check
+    reports the tolerance it applied.
     """
     tol = {
         "operator_eps": 8.0,
@@ -778,6 +794,7 @@ def verification_battery(
         )
     )
 
+    mode_tol = tol["mode_residual"] * _rounding_growth(decomp.L, TOLERANCE_L)
     mode_res = max(
         mode_reconstruction_residual(chain, decomp, tuple(rng.standard_normal(2)))
         for _ in range(5)
@@ -789,9 +806,9 @@ def verification_battery(
     checks.append(
         CheckResult(
             "mode_decomposition",
-            mode_res <= tol["mode_residual"] and two_mode_res <= tol["mode_residual"],
+            mode_res <= mode_tol and two_mode_res <= mode_tol,
             max(mode_res, two_mode_res),
-            tol["mode_residual"],
+            mode_tol,
             f"four-mode {mode_res:.3e}, two-mode {two_mode_res:.3e}",
         )
     )
@@ -818,12 +835,13 @@ def verification_battery(
         np.linalg.norm(u_ref.values - consistent.u_atc.values)
         / max(np.linalg.norm(u_ref.values), 1e-14)
     )
+    consistent_tol = tol["consistent_rel"] * _rounding_growth(decomp.N, TOLERANCE_N)
     checks.append(
         CheckResult(
             "atomistic_consistent_equivalence",
-            rel <= tol["consistent_rel"],
+            rel <= consistent_tol,
             rel,
-            tol["consistent_rel"],
+            consistent_tol,
             "substituting the atomistic operator on the continuum window",
         )
     )

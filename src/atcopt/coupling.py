@@ -44,7 +44,6 @@ __all__ = [
     "MismatchReport",
     "AtcResult",
     "CouplingError",
-    "homogeneous_states",
     "lift_atomistic",
     "lift_continuum",
     "mismatch_norm",
@@ -55,7 +54,6 @@ __all__ = [
     "solve_atc",
     "solve_atc_consistent",
     "apply_q",
-    "continuum_trace_lifting",
     "gram_norm",
     "atc_csv_text",
     "atc_summary_dict",
@@ -106,7 +104,8 @@ class ReducedSystem:
     variant).  ``gram[i, j]`` is the overlap inner product of the
     responses ``w1, w2, -w3, ...``; ``rhs`` is minus the overlap inner
     product of the homogeneous-state gap ``u_a0 - u_c0`` with each
-    response.
+    response.  ``gram`` and ``rhs`` are read-only views of the arrays
+    given, not copies.
     """
 
     gram: np.ndarray
@@ -171,14 +170,6 @@ class AtcResult:
     system: ReducedSystem
 
 
-def homogeneous_states(
-    chain: ChainModel, decomp: Decomposition, bc: OuterBoundary | None = None
-) -> tuple[DisplacementField, DisplacementField]:
-    """Subdomain states carrying the load with zero virtual interface values."""
-    system = assemble_reduced_system(chain, decomp, bc)
-    return system.u_a0, system.u_c0
-
-
 def lift_atomistic(
     chain: ChainModel, decomp: Decomposition, theta_a: tuple[float, float]
 ) -> DisplacementField:
@@ -224,7 +215,8 @@ def _load_and_lifts(
     unit = np.column_stack([np.zeros(2), np.eye(2)])
     left, right = (unit, data) if controls_at_lo else (data, unit)
     values = solve_window(chain, "atomistic", lo, hi, 2, left, right)
-    fields = [DisplacementField(lo, hi, column, tag) for column in values.T]
+    # contiguous columns: BLAS sums a strided vector in another order
+    fields = [DisplacementField(lo, hi, column, tag) for column in np.ascontiguousarray(values.T)]
     return fields[0], tuple(fields[1:])
 
 
@@ -408,19 +400,6 @@ def apply_q(
         system = assemble_reduced_system(chain, decomp)
     v_a, v_c = system.states(mu.as_array(), affine=False)
     return _compose(decomp, v_a, v_c, 0.0)
-
-
-def continuum_trace_lifting(
-    chain: ChainModel,
-    decomp: Decomposition,
-    u_ref: DisplacementField,
-    bc: OuterBoundary | None = None,
-) -> DisplacementField:
-    """Continuum window state whose interface value copies ``u_ref`` at ``K`` (direct solve)."""
-    bc = bc or OuterBoundary()
-    return solve_continuum_subproblem(
-        chain, decomp, u_ref[decomp.K], gamma_plus=bc.u_nm1
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,13 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _readonly(a) -> np.ndarray:
+    """Read-only view of ``a`` as floats; copies only to convert.
+
+    The flag is set on the view, so the caller's array stays writable and
+    writing to it shows through the view.
+    """
+    out = np.asarray(a, dtype=float).view()
     out.setflags(write=False)
     return out
 
@@ -46,7 +51,8 @@ class ChainModel:
     """A chain of ``N + 1`` atoms with spring constants and a dead load.
 
     ``force[i]`` is the external load on atom ``i``; it vanishes on the
-    four fixed boundary atoms ``{0, 1, N-1, N}``.
+    four fixed boundary atoms ``{0, 1, N-1, N}``.  ``force`` is a
+    read-only view of the array given, not a copy.
     """
 
     N: int
@@ -175,7 +181,10 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class DisplacementField:
-    """Real values indexed over a contiguous atom range ``[lo, hi]``."""
+    """Real values indexed over a contiguous atom range ``[lo, hi]``.
+
+    ``values`` is a read-only view of the array given, not a copy.
+    """
 
     lo: int
     hi: int

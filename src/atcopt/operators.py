@@ -14,12 +14,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lattice import ChainModel, DisplacementField, _readonly
+from .lattice import ChainModel, _readonly
 
 __all__ = [
     "BandedSystem",
-    "apply_delta1",
-    "apply_delta2",
     "delta1_array",
     "delta2_array",
     "delta1_squared_array",
@@ -28,30 +26,6 @@ __all__ = [
     "operator_identity_report",
     "OperatorIdentityReport",
 ]
-
-
-def _field_values(u) -> tuple[int, np.ndarray]:
-    if isinstance(u, DisplacementField):
-        return u.lo, u.values
-    return 0, np.asarray(u, dtype=float)
-
-
-def apply_delta1(u, i: int) -> float:
-    """Three-point second difference ``u[i-1] - 2*u[i] + u[i+1]``."""
-    lo, v = _field_values(u)
-    j = i - lo
-    if j - 1 < 0 or j + 1 >= v.size:
-        raise IndexError(f"three-point stencil at {i} leaves the index range")
-    return float(v[j - 1] - 2.0 * v[j] + v[j + 1])
-
-
-def apply_delta2(u, i: int) -> float:
-    """Five-point second difference ``u[i-2] - 2*u[i] + u[i+2]``."""
-    lo, v = _field_values(u)
-    j = i - lo
-    if j - 2 < 0 or j + 2 >= v.size:
-        raise IndexError(f"five-point stencil at {i} leaves the index range")
-    return float(v[j - 2] - 2.0 * v[j] + v[j + 2])
 
 
 def delta1_array(values: np.ndarray) -> np.ndarray:
@@ -79,7 +53,8 @@ class BandedSystem:
     diagonal.  ``index_offset`` maps local row 0 to its global atom
     index, so unknown ``j`` is the displacement of atom
     ``index_offset + j``.  ``rhs`` is one column of shape ``(size,)`` or
-    a stack of columns of shape ``(size, columns)``.
+    a stack of columns of shape ``(size, columns)``.  ``bands`` and
+    ``rhs`` are read-only views of the arrays given, not copies.
     """
 
     size: int
@@ -99,14 +74,6 @@ class BandedSystem:
                              f"or ({self.size}, columns)")
         object.__setattr__(self, "bands", _readonly(b))
         object.__setattr__(self, "rhs", _readonly(r))
-
-    def to_dense(self) -> np.ndarray:
-        """Full symmetric matrix; the dense fallback path for cross-checks."""
-        a = np.diag(self.bands[0])
-        for k in range(1, min(self.half_bandwidth, self.size - 1) + 1):
-            d = self.bands[k, : self.size - k]
-            a += np.diag(d, -k) + np.diag(d, k)
-        return a
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Product with a vector or, column by column, with a matrix of columns."""

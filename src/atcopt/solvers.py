@@ -4,8 +4,7 @@ All assembled systems are symmetric positive definite, so they are
 factored by banded Cholesky without pivoting, once per system however
 many right-hand-side columns it stacks.  One step of iterative
 refinement keeps residuals near rounding level, and every column is
-accepted on its normwise backward error.  A dense fallback with the
-same contract serves as a cross-check oracle in the tests.
+accepted on its normwise backward error.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "SolveReport",
     "BACKWARD_ERROR_TOL",
     "solve_banded",
-    "solve_dense",
     "solve_window",
     "solve_full_atomistic",
     "solve_full_continuum",
@@ -101,33 +99,20 @@ def _accept(system: BandedSystem, x: np.ndarray) -> SolveReport:
     return SolveReport(x, float(np.max(residual)), backward)
 
 
-def _refined(system: BandedSystem, solve) -> np.ndarray:
-    """Solve every column and refine once in working precision."""
-    x = solve(system.rhs)
-    r = system.matvec(x)
-    np.subtract(system.rhs, r, out=r)
-    x += solve(r)
-    return x
-
-
 def solve_banded(system: BandedSystem) -> SolveReport:
-    """Solve by one symmetric banded Cholesky factorization for all columns."""
+    """Solve by one symmetric banded Cholesky factorization for all columns.
+
+    Every column is refined once in working precision.
+    """
     try:
         factor = cholesky_banded(system.bands, lower=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"banded Cholesky failed: {exc}") from exc
-    x = _refined(system, lambda b: cho_solve_banded((factor, True), b))
-    del factor  # freed before the acceptance check allocates
-    return _accept(system, x)
-
-
-def solve_dense(system: BandedSystem) -> SolveReport:
-    """Dense-factorization fallback with the same contract (test oracle)."""
-    a = system.to_dense()
-    try:
-        x = _refined(system, lambda b: np.linalg.solve(a, b))
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"dense solve failed: {exc}") from exc
+    x = cho_solve_banded((factor, True), system.rhs)
+    r = system.matvec(x)
+    np.subtract(system.rhs, r, out=r)
+    x += cho_solve_banded((factor, True), r)
+    del factor, r  # freed before the acceptance check allocates
     return _accept(system, x)
 
 
@@ -140,7 +125,6 @@ def solve_window(
     left,
     right,
     load: np.ndarray | None = None,
-    method=solve_banded,
 ) -> np.ndarray:
     """Values on ``[lo, hi]`` of the ``"atomistic"`` or ``"continuum"`` operator.
 
@@ -153,28 +137,20 @@ def solve_window(
     ends = (np.asarray(left, dtype=float), np.asarray(right, dtype=float))
     nodes = (*range(lo, lo + width), *range(hi - width + 1, hi + 1))
     system = assemble(chain, (lo + width, hi - width), dict(zip(nodes, np.concatenate(ends))), load)
-    return np.concatenate([ends[0], method(system).values, ends[1]])
+    return np.concatenate([ends[0], solve_banded(system).values, ends[1]])
 
 
-def solve_full_atomistic(
-    chain: ChainModel, bc: OuterBoundary | None = None, method=solve_banded
-) -> DisplacementField:
+def solve_full_atomistic(chain: ChainModel, bc: OuterBoundary | None = None) -> DisplacementField:
     """Displacements of the fully atomistic chain on ``[0, N]``."""
     bc = bc or OuterBoundary()
-    values = solve_window(
-        chain, "atomistic", 0, chain.N, 2, (bc.u0, bc.u1), (bc.u_nm1, bc.u_n), method=method
-    )
+    values = solve_window(chain, "atomistic", 0, chain.N, 2, (bc.u0, bc.u1), (bc.u_nm1, bc.u_n))
     return DisplacementField(0, chain.N, values, "global")
 
 
-def solve_full_continuum(
-    chain: ChainModel, bc: OuterBoundary | None = None, method=solve_banded
-) -> DisplacementField:
+def solve_full_continuum(chain: ChainModel, bc: OuterBoundary | None = None) -> DisplacementField:
     """Displacements of the fully continuum chain on ``[0, N]``."""
     bc = bc or OuterBoundary()
-    inner = solve_window(
-        chain, "continuum", 1, chain.N - 1, 1, (bc.u1,), (bc.u_nm1,), method=method
-    )
+    inner = solve_window(chain, "continuum", 1, chain.N - 1, 1, (bc.u1,), (bc.u_nm1,))
     return DisplacementField(0, chain.N, np.concatenate([[bc.u0], inner, [bc.u_n]]), "global")
 
 
@@ -184,7 +160,6 @@ def solve_atomistic_subproblem(
     theta_a: tuple[float, float],
     gamma_minus: tuple[float, float] = (0.0, 0.0),
     load: np.ndarray | None = None,
-    method=solve_banded,
 ) -> DisplacementField:
     """Atomistic window solve on ``[0, L]`` with interface values ``theta_a``.
 
@@ -193,7 +168,7 @@ def solve_atomistic_subproblem(
     pair ``{0, 1}``.
     """
     L = decomp.L
-    values = solve_window(chain, "atomistic", 0, L, 2, gamma_minus, theta_a, load, method)
+    values = solve_window(chain, "atomistic", 0, L, 2, gamma_minus, theta_a, load)
     return DisplacementField(0, L, values, "atomistic")
 
 
@@ -203,7 +178,6 @@ def solve_continuum_subproblem(
     theta_c: float,
     gamma_plus: float = 0.0,
     load: np.ndarray | None = None,
-    method=solve_banded,
 ) -> DisplacementField:
     """Continuum window solve on ``[K, N-1]`` with interface value ``theta_c``.
 
@@ -212,7 +186,7 @@ def solve_continuum_subproblem(
     the three-point stencil.
     """
     K, nbar = decomp.K, decomp.N - 1
-    values = solve_window(chain, "continuum", K, nbar, 1, (theta_c,), (gamma_plus,), load, method)
+    values = solve_window(chain, "continuum", K, nbar, 1, (theta_c,), (gamma_plus,), load)
     return DisplacementField(K, nbar, values, "continuum")
 
 
@@ -222,7 +196,6 @@ def solve_atomistic_on_continuum(
     theta_pair: tuple[float, float],
     gamma_plus_pair: tuple[float, float] = (0.0, 0.0),
     load: np.ndarray | None = None,
-    method=solve_banded,
 ) -> DisplacementField:
     """Atomistic-operator solve on the continuum window ``[K, N]``.
 
@@ -231,7 +204,7 @@ def solve_atomistic_on_continuum(
     ``{K, K+1}`` (``theta_pair``) and ``{N-1, N}``.
     """
     K, N = decomp.K, decomp.N
-    values = solve_window(chain, "atomistic", K, N, 2, theta_pair, gamma_plus_pair, load, method)
+    values = solve_window(chain, "atomistic", K, N, 2, theta_pair, gamma_plus_pair, load)
     return DisplacementField(K, N, values, "continuum")
 
 

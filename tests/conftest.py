@@ -11,6 +11,20 @@ def make_chain(N, force=None, k1=K1_DEFAULT, k2=K2_DEFAULT):
     return build_chain(N, k1, k2, force)
 
 
+def dense_matrix(system):
+    """Full symmetric matrix of a ``BandedSystem`` from its lower bands."""
+    a = np.diag(system.bands[0])
+    for k in range(1, min(system.half_bandwidth, system.size - 1) + 1):
+        d = system.bands[k, : system.size - k]
+        a += np.diag(d, -k) + np.diag(d, k)
+    return a
+
+
+def dense_solve(system):
+    """Dense LU solve of every column; shares no code with ``atcopt.solvers``."""
+    return np.linalg.solve(dense_matrix(system), system.rhs)
+
+
 def scaled_random_force(N, rng, kind=None):
     """Random load with amplitude ~ (100/N)^2 so solutions stay O(1e3).
 

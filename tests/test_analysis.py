@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import atcopt.analysis
+import atcopt.coupling
 from atcopt import (
     ControlPair,
+    DisplacementField,
     alpha_coefficients,
     build_chain,
     characteristic_roots,
@@ -30,7 +34,11 @@ from atcopt.analysis import (
     two_mode_reconstruction_residual,
     verification_battery,
 )
-from atcopt.solvers import modeling_error_bound, solve_full_atomistic
+from atcopt.solvers import (
+    modeling_error_bound,
+    solve_continuum_subproblem,
+    solve_full_atomistic,
+)
 from conftest import make_chain, random_instance
 
 
@@ -234,11 +242,9 @@ class TestErrorStudy:
             assert row.err_atc <= row.bound_rhs * (1 + 1e-9) + 1e-13
 
     def test_model_error_bounded_on_continuum_window(self, rng):
-        from atcopt.coupling import continuum_trace_lifting
-
         chain, d = random_instance(rng, n_max=600)
         u_ref = solve_full_atomistic(chain)
-        u_c = continuum_trace_lifting(chain, d, u_ref)
+        u_c = solve_continuum_subproblem(chain, d, u_ref[d.K])
         err = np.linalg.norm(u_ref.window(d.K, d.N - 1) - u_c.values)
         bound = modeling_error_bound(chain, u_ref, "continuum", d)
         assert bound.n_sites == d.N - d.K - 2
@@ -321,3 +327,32 @@ class TestBattery:
             lambda *a: ControlPair.from_array(real(*a).as_array() * (1.0 + 1e-6)),
         )
         assert not minimizer_check().passed
+
+    @staticmethod
+    def _checks(instance):
+        return {c.name: c for c in verification_battery(*instance)}
+
+    def test_rounding_tolerances_scale_with_size(self, monkeypatch):
+        # the defaults hold at N = 2,500 with L = 100
+        checks = self._checks(self._instance(2500, "point:1250:1e-7"))
+        assert checks["mode_decomposition"].tolerance == 1e-10
+        assert checks["atomistic_consistent_equivalence"].tolerance == 1e-10
+        # at N = 1e5 (L = 633) the consistent variant is 3.2e-10 off the full
+        # solve and delta_star exceeds model_overlap by 2.7e-7 relative, both
+        # rounding of the N^2-conditioned solves
+        N = 100_000
+        instance = self._instance(N, "point:50000:1.0")
+        checks = self._checks(instance)
+        assert [c.name for c in checks.values() if not c.passed] == []
+        assert checks["mode_decomposition"].tolerance == pytest.approx(1e-10 * 6.33**2)
+        assert checks["atomistic_consistent_equivalence"].tolerance == pytest.approx(1e-10 * 40**2)
+        # a consistent solution 1e-6 off in relative terms still fails
+        real = atcopt.coupling.solve_atc_consistent
+
+        def perturbed(*args):
+            result = real(*args)
+            u = DisplacementField(0, N, result.u_atc.values * (1.0 + 1e-6))
+            return dataclasses.replace(result, u_atc=u)
+
+        monkeypatch.setattr(atcopt.coupling, "solve_atc_consistent", perturbed)
+        assert not self._checks(instance)["atomistic_consistent_equivalence"].passed

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from atcopt.cli import main
 
@@ -94,6 +95,14 @@ class TestSolve:
         assert code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert np.isfinite(summary["mismatch"])
+
+    @pytest.mark.parametrize("N", [100_000, 1_000_000])
+    def test_unscaled_sine_load_derived_windows(self, N, tmp_path, monkeypatch):
+        code = run_cli(["solve", "--N", str(N), "--force", "sine:1"], tmp_path, monkeypatch)
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["N"] == N and np.isfinite(summary["mismatch"])
+        (tmp_path / "solution.csv").unlink()  # about 70 MB at N = 1e6
 
 
 class TestPatchTest:

@@ -9,7 +9,6 @@ from atcopt import (
     assemble_reduced_system,
     compose_atc,
     decompose,
-    homogeneous_states,
     lift_atomistic,
     lift_continuum,
     mismatch_norm,
@@ -24,9 +23,9 @@ from atcopt.coupling import (
     atc_csv_text,
     atc_summary_json,
     apply_q,
-    continuum_trace_lifting,
     gram_norm,
 )
+from atcopt.solvers import solve_continuum_subproblem
 from conftest import make_chain, random_instance, scaled_random_force
 
 
@@ -34,7 +33,8 @@ class TestHomogeneousStates:
     def test_zero_load(self):
         chain = make_chain(40, "zero")
         d = decompose(chain, 10, 20)
-        u_a0, u_c0 = homogeneous_states(chain, d)
+        system = assemble_reduced_system(chain, d)
+        u_a0, u_c0 = system.u_a0, system.u_c0
         assert np.all(u_a0.values == 0.0)
         assert np.all(u_c0.values == 0.0)
 
@@ -43,19 +43,17 @@ class TestHomogeneousStates:
         # homogeneous state untouched
         chain = make_chain(60, "point:5:1.0")
         d = decompose(chain, 20, 30)
-        _, u_c0 = homogeneous_states(chain, d)
-        assert np.all(u_c0.values == 0.0)
+        assert np.all(assemble_reduced_system(chain, d).u_c0.values == 0.0)
 
     def test_superposition(self, rng):
         N = 80
         f1 = scaled_random_force(N, rng)
         f2 = scaled_random_force(N, rng)
-        d_args = (12, 24)
-        u1 = homogeneous_states(make_chain(N, f1), decompose(make_chain(N, f1), *d_args))[0]
-        u2 = homogeneous_states(make_chain(N, f2), decompose(make_chain(N, f2), *d_args))[0]
-        u12 = homogeneous_states(
-            make_chain(N, f1 + f2), decompose(make_chain(N, f1 + f2), *d_args)
-        )[0]
+        def u_a0(f):
+            chain = make_chain(N, f)
+            return assemble_reduced_system(chain, decompose(chain, 12, 24)).u_a0
+
+        u1, u2, u12 = u_a0(f1), u_a0(f2), u_a0(f1 + f2)
         rel = np.linalg.norm(u12.values - u1.values - u2.values) / max(
             np.linalg.norm(u12.values), 1e-300
         )
@@ -205,7 +203,7 @@ class TestComposeAndTrace:
         res = compose_atc(chain, d, trace(u_ref, d))
         scale = 1.0 + float(np.max(np.abs(u_ref.values)))
         assert np.max(np.abs(res.u_atc.window(0, d.L) - u_ref.window(0, d.L))) <= 1e-12 * scale
-        u_c_lift = continuum_trace_lifting(chain, d, u_ref)
+        u_c_lift = solve_continuum_subproblem(chain, d, u_ref[d.K])
         assert np.max(
             np.abs(res.u_atc.window(d.L + 1, d.N - 1) - u_c_lift.window(d.L + 1, d.N - 1))
         ) <= 1e-12 * scale
@@ -278,7 +276,7 @@ class TestSolveAtc:
             theta_op = solve_controls(system)
             u_ref = solve_full_atomistic(chain)
             delta = trace(u_ref, d).as_array() - theta_op.as_array()
-            u_c_lift = continuum_trace_lifting(chain, d, u_ref)
+            u_c_lift = solve_continuum_subproblem(chain, d, u_ref[d.K])
             rhs = float(np.linalg.norm(u_ref.window(d.K, d.L) - u_c_lift.window(d.K, d.L)))
             assert gram_norm(system, delta) <= rhs * (1 + 1e-9) + 1e-13
 

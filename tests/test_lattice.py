@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from atcopt import (
+    BandedSystem,
     ChainModel,
+    DisplacementField,
     OuterBoundary,
+    assemble_reduced_system,
     build_chain,
     chain_from_config,
     decompose,
@@ -236,6 +240,37 @@ class TestDisplacementField:
         assert bc.u1 == pytest.approx(0.01)
         assert bc.u_nm1 == pytest.approx(0.99)
         assert bc.u_n == pytest.approx(1.0)
+
+
+def test_containers_hold_read_only_views():
+    force = np.zeros(11)
+    force[5] = 1.0
+    chain = ChainModel(10, 1.0, -1.0 / 6.0, force)
+    values = np.arange(11.0)
+    bands, rhs = np.ones((2, 7)), np.ones((7, 3))
+    system = BandedSystem(7, 1, bands, rhs, 2)
+    gram, rhs3 = np.eye(3), np.ones(3)
+    reduced = assemble_reduced_system(chain, decompose(chain, 2, 6))
+    reduced = dataclasses.replace(reduced, gram=gram, rhs=rhs3)
+    held_and_given = {
+        "ChainModel.force": (chain.force, force),
+        "DisplacementField.values": (DisplacementField(0, 10, values).values, values),
+        "BandedSystem.bands": (system.bands, bands),
+        "BandedSystem.rhs": (system.rhs, rhs),
+        "ReducedSystem.gram": (reduced.gram, gram),
+        "ReducedSystem.rhs": (reduced.rhs, rhs3),
+    }
+    for name, (held, given) in held_and_given.items():
+        assert np.shares_memory(held, given), name  # no copy
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 1.0
+        assert given.flags.writeable, name  # the caller's array keeps its flag
+
+
+def test_non_float_input_is_converted():
+    field = DisplacementField(0, 2, [1, 2, 3])
+    assert field.values.dtype == np.float64
+    assert not field.values.flags.writeable
 
 
 class TestConfig:

@@ -2,55 +2,46 @@ import numpy as np
 import pytest
 
 from atcopt import (
-    apply_delta1,
-    apply_delta2,
+    DisplacementField,
     assemble_atomistic,
     assemble_continuum,
     build_chain,
     operator_identity_report,
 )
-from atcopt.operators import delta1_squared_array
+from atcopt.operators import delta1_array, delta1_squared_array, delta2_array
+from conftest import dense_matrix, dense_solve
 
 EPS = np.finfo(float).eps
 
 
 class TestStencils:
+    # the three-point stencil drops one site at each end, the five-point two
     def test_constant_in_kernel(self):
         u = np.full(11, 3.7)
-        for i in range(2, 9):
-            assert apply_delta1(u, i) == 0.0
-            assert apply_delta2(u, i) == 0.0
+        assert np.array_equal(delta1_array(u), np.zeros(9))
+        assert np.array_equal(delta2_array(u), np.zeros(7))
 
     def test_linear_in_kernel(self):
         u = np.arange(11, dtype=float)
-        for i in range(2, 9):
-            assert apply_delta1(u, i) == 0.0
-            assert apply_delta2(u, i) == 0.0
+        assert np.array_equal(delta1_array(u), np.zeros(9))
+        assert np.array_equal(delta2_array(u), np.zeros(7))
 
     def test_quadratic(self):
         # hand evaluation: (i-1)^2 - 2 i^2 + (i+1)^2 = 2; offset 2 gives 8
         u = np.arange(11, dtype=float) ** 2
-        assert apply_delta1(u, 5) == 2.0
-        assert apply_delta2(u, 5) == 8.0
+        assert np.array_equal(delta1_array(u), np.full(9, 2.0))
+        assert np.array_equal(delta2_array(u), np.full(7, 8.0))
 
     def test_quartic_double_stencil(self):
         # D1(i^4) = 12 i^2 + 2, then D1 of that is 24
         u = np.arange(21, dtype=float) ** 4
         assert delta1_squared_array(u) == pytest.approx(np.full(17, 24.0))
 
-    def test_out_of_range(self):
-        u = np.arange(11, dtype=float)
-        with pytest.raises(IndexError):
-            apply_delta1(u, 0)
-        with pytest.raises(IndexError):
-            apply_delta2(u, 1)
-
     def test_field_offset_indexing(self):
-        from atcopt import DisplacementField
-
+        # the stencils at atom 15 read the field's window around it
         f = DisplacementField(10, 20, np.arange(10, 21, dtype=float) ** 2, "overlap")
-        assert apply_delta1(f, 15) == 2.0
-        assert apply_delta2(f, 15) == 8.0
+        assert delta1_array(f.window(14, 16)).tolist() == [2.0]
+        assert delta2_array(f.window(13, 17)).tolist() == [8.0]
 
 
 class TestAssembleAtomistic:
@@ -61,13 +52,13 @@ class TestAssembleAtomistic:
         assert sys_.size == 1
         assert sys_.bands[0, 0] == pytest.approx(2.0 * (1.0 - 1.0 / 6.0))
         assert sys_.rhs[0] == 1.0
-        assert np.linalg.solve(sys_.to_dense(), sys_.rhs)[0] == pytest.approx(0.6)
+        assert dense_solve(sys_)[0] == pytest.approx(0.6)
 
     def test_zero_load_homogeneous(self):
         chain = build_chain(20, 1.0, -1.0 / 6.0, "zero")
         sys_ = assemble_atomistic(chain, chain.interior, dict.fromkeys((0, 1, 19, 20), 0.0))
         assert np.all(sys_.rhs == 0.0)
-        assert np.linalg.solve(sys_.to_dense(), sys_.rhs) == pytest.approx(np.zeros(sys_.size))
+        assert dense_solve(sys_) == pytest.approx(np.zeros(sys_.size))
 
     def test_missing_boundary_value(self):
         chain = build_chain(20, 1.0, -1.0 / 6.0, "zero")
@@ -79,12 +70,11 @@ class TestAssembleAtomistic:
         bvals = {0: 0.3, 1: -0.2, 11: 1.1, 12: 0.7}
         sys_ = assemble_atomistic(chain, chain.interior, bvals)
         # manufactured check: extend solution by boundary values and apply the stencil
-        x = np.linalg.solve(sys_.to_dense(), sys_.rhs)
+        x = dense_solve(sys_)
         full = np.concatenate([[bvals[0], bvals[1]], x, [bvals[11], bvals[12]]])
-        k1, k2 = chain.k1, chain.k2
-        for i in range(2, 11):
-            val = -(k1 * apply_delta1(full, i) + k2 * apply_delta2(full, i))
-            assert val == pytest.approx(0.0, abs=1e-12)
+        # force balance at atoms 2..10
+        val = -(chain.k1 * delta1_array(full)[1:-1] + chain.k2 * delta2_array(full))
+        assert val == pytest.approx(np.zeros(9), abs=1e-12)
 
 
 class TestAssembleContinuum:
@@ -100,7 +90,7 @@ class TestAssembleContinuum:
         chain = build_chain(10, 1.0, -1.0 / 6.0, "zero")
         a, b = 0.4, -1.2
         sys_ = assemble_continuum(chain, (2, 8), {1: a, 9: b})
-        x = np.linalg.solve(sys_.to_dense(), sys_.rhs)
+        x = dense_solve(sys_)
         i = np.arange(2, 9, dtype=float)
         expected = a + (b - a) * (i - 1.0) / 8.0
         assert x == pytest.approx(expected, abs=1e-13)
@@ -109,7 +99,7 @@ class TestAssembleContinuum:
         # closed-form eigenvalues 4 k_c sin^2(j pi / 8), j = 1..3
         chain = build_chain(6, 1.0, -1.0 / 6.0, "zero")
         sys_ = assemble_continuum(chain, chain.interior, {1: 0.0, 5: 0.0})
-        eig = np.sort(np.linalg.eigvalsh(sys_.to_dense()))
+        eig = np.sort(np.linalg.eigvalsh(dense_matrix(sys_)))
         s2 = np.sqrt(2.0)
         assert eig == pytest.approx([(2 - s2) / 3.0, 2.0 / 3.0, (2 + s2) / 3.0])
         k_c = 1.0 / 3.0
@@ -156,7 +146,7 @@ class TestBandedSystem:
             (assemble_continuum, {1: 0.0, 29: 0.0}),
         ):
             sys_ = assemble(chain, chain.interior, bvals)
-            dense = sys_.to_dense()
+            dense = dense_matrix(sys_)
             assert np.array_equal(dense, dense.T)
             for _ in range(5):
                 v = rng.standard_normal(sys_.size)
@@ -166,7 +156,7 @@ class TestBandedSystem:
         chain = build_chain(25, 1.0, -1.0 / 6.0, "zero")
         sys_ = assemble_atomistic(chain, chain.interior, dict.fromkeys((0, 1, 24, 25), 0.0))
         x = rng.standard_normal(sys_.size)
-        assert sys_.matvec(x) == pytest.approx(sys_.to_dense() @ x)
+        assert sys_.matvec(x) == pytest.approx(dense_matrix(sys_) @ x)
 
     def test_band_entries_and_index_offset(self):
         chain = build_chain(8, 1.0, -1.0 / 6.0, "zero")
@@ -177,6 +167,6 @@ class TestBandedSystem:
         # entry (i, j) of the matrix sits at bands[i - j, j] (lower storage)
         assert sys_.bands[0, 0] == pytest.approx(2.0 / 3.0)  # (2, 2)
         assert sys_.bands[1, 0] == pytest.approx(-1.0 / 3.0)  # (3, 2), and (2, 3) by symmetry
-        dense = sys_.to_dense()
+        dense = dense_matrix(sys_)
         assert dense[0, 1] == dense[1, 0] == pytest.approx(-1.0 / 3.0)
         assert dense[0, 2] == 0.0  # (2, 4) is outside the tridiagonal band

@@ -6,14 +6,15 @@ from atcopt import (
     build_chain,
     decompose,
     modeling_error_bound,
+    solve_atc,
     solve_atomistic_subproblem,
     solve_banded,
     solve_continuum_subproblem,
-    solve_dense,
     solve_full_atomistic,
     solve_full_continuum,
 )
-from atcopt.operators import BandedSystem, assemble_atomistic
+from atcopt.analysis import sweep_windows
+from atcopt.operators import BandedSystem, assemble_atomistic, assemble_continuum
 from atcopt.solvers import (
     BACKWARD_ERROR_TOL,
     FactorizationError,
@@ -21,7 +22,7 @@ from atcopt.solvers import (
     displacement_csv_text,
     solve_atomistic_on_continuum,
 )
-from conftest import make_chain, scaled_random_force
+from conftest import dense_solve, make_chain, scaled_random_force
 
 
 class TestSolveBanded:
@@ -47,7 +48,7 @@ class TestSolveBanded:
         rhs = rng.standard_normal(n)
         sys_ = BandedSystem(n, 2, bands, rhs, 0)
         x_banded = solve_banded(sys_).values
-        x_dense = solve_dense(sys_).values
+        x_dense = dense_solve(sys_)
         rel = np.linalg.norm(x_banded - x_dense) / np.linalg.norm(x_dense)
         assert rel <= 1e-12
 
@@ -75,7 +76,7 @@ class TestSolveBanded:
 
 
 class TestBackwardErrorAcceptance:
-    @pytest.mark.parametrize("N", [10_000, 100_000])
+    @pytest.mark.parametrize("N", [10_000, 100_000, 1_000_000])
     @pytest.mark.parametrize("kind", ["sine", "point"])
     def test_unscaled_loads_accepted(self, N, kind):
         # the window systems are N^2-conditioned, so the absolute residual of
@@ -90,6 +91,20 @@ class TestBackwardErrorAcceptance:
         a_norm = 4.0 * chain.k1  # row sum 2(k1 + k2) + 2 k1 + 2|k2|
         scale = a_norm * np.max(np.abs(v)) + np.max(np.abs(chain.force))
         assert np.max(np.abs(residual)) / scale <= BACKWARD_ERROR_TOL
+
+    @pytest.mark.parametrize("kind", ["sine", "point"])
+    def test_unscaled_loads_coupled(self, kind):
+        # the recovered window states balance the forces to rounding level
+        N = 1_000_000
+        chain = make_chain(N, "sine:1" if kind == "sine" else f"point:{N // 3}:1.0")
+        result = solve_atc(chain, decompose(chain, *sweep_windows(N, 2.0, 0.5, 2.0)))
+        f_max = np.max(np.abs(chain.force))
+        for key, state, a_norm in (
+            ("state_residual_atom", result.u_a_op, 4.0 * chain.k1),
+            ("state_residual_cont", result.u_c_op, 4.0 * chain.k_c),
+        ):
+            scale = a_norm * np.max(np.abs(state.values)) + f_max
+            assert result.diagnostics[key] / scale <= BACKWARD_ERROR_TOL
 
     @pytest.mark.parametrize("force", ["sine:1", "point:500:1.0"])
     def test_perturbed_solution_raises(self, monkeypatch, force):
@@ -192,8 +207,10 @@ class TestSubproblems:
         chain = make_chain(100, "sine:1")
         d = decompose(chain, 10, 20)
         u = solve_continuum_subproblem(chain, d, 0.3)
-        u_dense = solve_continuum_subproblem(chain, d, 0.3, method=solve_dense)
-        rel = np.linalg.norm(u.values - u_dense.values) / np.linalg.norm(u_dense.values)
+        # the window [10, 99] holds 0.3 at K = 10 and 0 at N - 1 = 99
+        x_dense = dense_solve(assemble_continuum(chain, (11, 98), {10: 0.3, 99: 0.0}))
+        u_dense = np.concatenate([[0.3], x_dense, [0.0]])
+        rel = np.linalg.norm(u.values - u_dense) / np.linalg.norm(u_dense)
         assert rel <= 1e-12
 
     def test_superposition(self, rng):
