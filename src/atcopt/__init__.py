@@ -15,9 +15,7 @@ from .lattice import (
     DisplacementField,
     OuterBoundary,
     build_chain,
-    chain_from_config,
     decompose,
-    decomposition_from_config,
     load_config,
     materialize_force,
     parse_config_text,

@@ -32,7 +32,6 @@ __all__ = [
     "characteristic_polynomial",
     "ModeCoefficients",
     "mode_matrix",
-    "limit_mode_matrix",
     "mode_decomposition",
     "reconstruct_modes",
     "mode_reconstruction_residual",
@@ -128,18 +127,6 @@ def mode_matrix(L: int, lam: float) -> np.ndarray:
     )
 
 
-def limit_mode_matrix(lam: float) -> np.ndarray:
-    """Large-window limit of :func:`mode_matrix`."""
-    return np.array(
-        [
-            [0.0, 1.0, 1.0, 0.0],
-            [0.0, 1.0, lam, 0.0],
-            [1.0, 0.0, 0.0, lam],
-            [1.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
 def mode_decomposition(
     chain: ChainModel, decomp: Decomposition, theta_a: tuple[float, float]
 ) -> ModeCoefficients:
@@ -172,7 +159,7 @@ def reconstruct_modes(decomp: Decomposition, coeffs: ModeCoefficients) -> Displa
         + coeffs.beta3 * lam**n
         + coeffs.beta4 * lam ** (L - n)
     )
-    return DisplacementField(0, L, v, "atomistic")
+    return DisplacementField(0, L, v)
 
 
 def mode_reconstruction_residual(
@@ -743,6 +730,9 @@ def verification_battery(
         "consistent_rel": 1e-10,
         "oracle_abs": 1e-8,
     }
+    unknown = sorted(set(tolerances or {}) - set(tol))
+    if unknown:
+        raise ValueError(f"unknown tolerance key {', '.join(unknown)}; known: {', '.join(tol)}")
     tol.update(tolerances or {})
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []

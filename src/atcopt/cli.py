@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,14 +25,18 @@ from .lattice import (
 )
 
 DEFAULTS = {
+    "N": None,
     "k1": 1.0,
     "k2": -1.0 / 6.0,
+    "K": None,
+    "L": None,
     "p": 2.0,
     "gamma": 0.5,
     "c": 2.0,
-    "force": "zero",
+    "force": None,
     "F": 0.01,
     "seed": 0,
+    "N_list": None,
 }
 
 EXIT_OK = 0
@@ -73,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, help="window growth constant")
         p.add_argument(
             "--force",
-            help="load preset: zero | point:I:MAG | sine:M | poly:C0,C1,... | csv:PATH",
+            help="load preset: zero | point:I:MAG | sine:M | sines:A1,A2,... | "
+            "poly:C0,C1,... | csv:PATH | table:PATH",
         )
         p.add_argument("--seed", type=int, help="seed for randomized checks")
         p.add_argument(
@@ -112,15 +118,59 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _names(key: str) -> str:
+    return f"flag --{key.replace('_', '-')}, config key {key}"
+
+
+def _number(key: str, value, kind):
+    """``value`` as an int or a finite float, or an error naming ``key``."""
+    try:
+        x = kind(value)
+        if not isinstance(value, bool) and math.isfinite(x) and x == float(value):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{key} = {value!r} ({_names(key)}): expected {what}")
+
+
 def _merged_settings(args: argparse.Namespace) -> dict:
-    settings = dict(DEFAULTS)
+    """Every setting by precedence flags > file > defaults, validated once.
+
+    Values are coerced to their types and range-checked; each error names
+    the flag and the config key.
+    """
+    s = dict(DEFAULTS)
     if args.config:
-        settings.update(load_config(args.config))
-    for key in ("N", "k1", "k2", "K", "L", "p", "gamma", "c", "force", "seed", "F"):
+        s.update(load_config(args.config))
+    for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
-            settings[key] = value
-    return settings
+            s[key] = value
+    unknown = sorted(set(s) - set(DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+    for key in ("N", "K", "L", "seed"):
+        if s[key] is not None:
+            s[key] = _number(key, s[key], int)
+    for key in ("k1", "k2", "p", "gamma", "c", "F"):
+        s[key] = _number(key, s[key], float)
+    if s["N_list"] is not None:
+        items = s["N_list"] if isinstance(s["N_list"], list) else str(s["N_list"]).split(",")
+        s["N_list"] = tuple(_number("N_list", x, int) for x in items if str(x).strip())
+    for key, ok, rule in (
+        ("N", s["N"] is None or s["N"] >= 4, "need N >= 4"),
+        ("N_list", s["N_list"] is None or (s["N_list"] and min(s["N_list"]) >= 4),
+         "need chain sizes N >= 4"),
+        ("p", s["p"] > 0, "need p > 0"),
+        ("gamma", 0 < s["gamma"] < 1, "need 0 < gamma < 1"),
+        ("c", s["c"] > 0, "need c > 0"),
+        ("seed", s["seed"] >= 0, "need seed >= 0"),
+        ("K", (s["K"] is None) == (s["L"] is None), "need K and L both given or both omitted"),
+    ):
+        if not ok:
+            raise ValueError(f"{key} = {s[key]!r} ({_names(key)}): {rule}")
+    return s
 
 
 def _tolerance_overrides(args: argparse.Namespace) -> dict:
@@ -134,32 +184,19 @@ def _tolerance_overrides(args: argparse.Namespace) -> dict:
 
 
 def _chain_and_decomp(settings: dict):
-    if "N" not in settings or settings.get("N") is None:
+    N = settings["N"]
+    if N is None:
         raise ValueError("chain size N is required (flag --N or config key N)")
-    N = int(settings["N"])
-    chain = build_chain(N, float(settings["k1"]), float(settings["k2"]),
-                        _force_from_settings(settings))
-    if settings.get("K") is not None and settings.get("L") is not None:
-        K, L = int(settings["K"]), int(settings["L"])
-    else:
-        K, L = analysis.sweep_windows(
-            N, float(settings["p"]), float(settings["gamma"]), float(settings["c"])
-        )
+    chain = build_chain(N, settings["k1"], settings["k2"], settings["force"])
+    K, L = settings["K"], settings["L"]
+    if K is None:
+        K, L = analysis.sweep_windows(N, settings["p"], settings["gamma"], settings["c"])
         print(f"derived interfaces K={K}, L={L}", file=sys.stderr)
     decomp = decompose(chain, K, L)
-    report = validate_assumptions(decomp, float(settings["p"]), float(settings["c"]))
+    report = validate_assumptions(decomp, settings["p"], settings["c"])
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
     return chain, decomp
-
-
-def _force_from_settings(settings: dict):
-    force = settings.get("force", "zero")
-    if isinstance(force, dict) or force is None:
-        return force
-    if "force.kind" in settings:
-        return {"kind": settings["force.kind"], "params": settings.get("force.params", {})}
-    return force
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -179,7 +216,7 @@ def _cmd_patch_test(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
     settings["force"] = "zero"
     chain, decomp = _chain_and_decomp(settings)
-    report = analysis.patch_test(chain, decomp, float(settings["F"]))
+    report = analysis.patch_test(chain, decomp, settings["F"])
     payload = {
         "N": decomp.N,
         "K": decomp.K,
@@ -205,7 +242,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = analysis.verification_battery(
         chain,
         decomp,
-        seed=int(settings["seed"]),
+        seed=settings["seed"],
         tolerances=_tolerance_overrides(args),
     )
     scorecard = {
@@ -235,26 +272,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
-    if args.N_list:
-        n_values = tuple(int(x) for x in args.N_list.split(",") if x.strip())
-    elif "N_list" in settings:
-        raw = settings["N_list"]
-        n_values = tuple(int(x) for x in (raw.split(",") if isinstance(raw, str) else raw))
-    else:
+    if settings["N_list"] is None:
         raise ValueError("sweep needs --N-list (or config key N_list)")
     config = analysis.SweepConfig(
-        N_values=n_values,
-        p=float(settings["p"]),
-        gamma=float(settings["gamma"]),
-        c=float(settings["c"]),
-        k1=float(settings["k1"]),
-        k2=float(settings["k2"]),
-        force=_force_from_settings(settings)
-        if settings.get("force") != "zero"
-        else "sines:1,0,-3",
+        N_values=settings["N_list"],
+        p=settings["p"],
+        gamma=settings["gamma"],
+        c=settings["c"],
+        k1=settings["k1"],
+        k2=settings["k2"],
+        # with no load given, the sweep keeps its own smooth default
+        force=analysis.SweepConfig.force if settings["force"] is None else settings["force"],
         normalize_load=not args.raw_load,
     )
     result = analysis.convergence_sweep(config)
+    if not result.rows:
+        raise ValueError(f"no feasible chain size in N_list ({_names('N_list')}): "
+                         + "; ".join(result.skipped))
     _atomic_write(args.sweep_csv, analysis.study_rows_csv_text(result.rows))
     for note in result.skipped:
         print(f"skipped {note}", file=sys.stderr)

@@ -31,6 +31,8 @@ from .operators import _apply_atomistic, _apply_continuum
 
 # solve_atomistic_on_continuum stays importable here for callers that patch it
 from .solvers import (  # noqa: F401
+    BACKWARD_ERROR_TOL,
+    ResidualError,
     fields_csv_text,
     solve_atomistic_on_continuum,
     solve_atomistic_subproblem,
@@ -88,10 +90,6 @@ class ControlPair:
         a = np.asarray(a, dtype=float)
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
-    @property
-    def theta_a(self) -> tuple[float, float]:
-        return (self.theta_a_lm1, self.theta_a_l)
-
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -136,7 +134,7 @@ class ReducedSystem:
             values = base.values if affine else 0.0
             for t, w in zip(coeffs, lifts):
                 values = values + t * w.values
-            fields.append(DisplacementField(base.lo, base.hi, values, base.domain_tag))
+            fields.append(DisplacementField(base.lo, base.hi, values))
         return fields[0], fields[1]
 
 
@@ -185,7 +183,7 @@ def lift_continuum(decomp: Decomposition, theta_c: float) -> DisplacementField:
     K, nbar = decomp.K, decomp.N - 1
     i = np.arange(K, nbar + 1, dtype=float)
     values = theta_c * (nbar - i) / (nbar - K)
-    return DisplacementField(K, nbar, values, "continuum")
+    return DisplacementField(K, nbar, values)
 
 
 def mismatch_norm(
@@ -202,7 +200,7 @@ def mismatch_norm(
 
 
 def _load_and_lifts(
-    chain: ChainModel, lo: int, hi: int, fixed: tuple, controls_at_lo: bool, tag: str
+    chain: ChainModel, lo: int, hi: int, fixed: tuple, controls_at_lo: bool
 ) -> tuple[DisplacementField, tuple[DisplacementField, ...]]:
     """Homogeneous state and unit-interface lifts of an atomistic-operator window.
 
@@ -216,7 +214,7 @@ def _load_and_lifts(
     left, right = (unit, data) if controls_at_lo else (data, unit)
     values = solve_window(chain, "atomistic", lo, hi, 2, left, right)
     # contiguous columns: BLAS sums a strided vector in another order
-    fields = [DisplacementField(lo, hi, column, tag) for column in np.ascontiguousarray(values.T)]
+    fields = [DisplacementField(lo, hi, column) for column in np.ascontiguousarray(values.T)]
     return fields[0], tuple(fields[1:])
 
 
@@ -232,9 +230,9 @@ def _reduce(
     bc = bc or OuterBoundary()
     K, L = decomp.K, decomp.L
     variant = "atomistic-consistent" if consistent else "cauchy-born"
-    u_a0, lifts_a = _load_and_lifts(chain, 0, L, (bc.u0, bc.u1), False, "atomistic")
+    u_a0, lifts_a = _load_and_lifts(chain, 0, L, (bc.u0, bc.u1), False)
     if consistent:
-        u_c0, lifts_c = _load_and_lifts(chain, K, decomp.N, (bc.u_nm1, bc.u_n), True, "continuum")
+        u_c0, lifts_c = _load_and_lifts(chain, K, decomp.N, (bc.u_nm1, bc.u_n), True)
     else:
         # the three-point operator is exact on linear functions: the lift is the ramp
         u_c0 = solve_continuum_subproblem(chain, decomp, 0.0, gamma_plus=bc.u_nm1)
@@ -295,21 +293,31 @@ def gram_norm(system: ReducedSystem, delta: np.ndarray | ControlPair) -> float:
 
 
 def _state_residuals(
-    chain: ChainModel,
-    u_a: DisplacementField,
-    u_c: DisplacementField,
-    continuum_operator: bool = True,
+    chain: ChainModel, u_a: DisplacementField, u_c: DisplacementField, continuum_operator: bool
 ) -> dict:
-    """Max-norm force-balance residuals of the recovered window states."""
-    f = chain.force
-    res_a = _apply_atomistic(chain, u_a.values) - f[u_a.lo + 2 : u_a.hi - 1]
-    apply_c = _apply_continuum if continuum_operator else _apply_atomistic
-    off = 1 if continuum_operator else 2
-    res_c = apply_c(chain, u_c.values) - f[u_c.lo + off : u_c.hi - off + 1]
-    return {
-        "state_residual_atom": float(np.max(np.abs(res_a))),
-        "state_residual_cont": float(np.max(np.abs(res_c))),
-    }
+    """Max-norm force-balance residuals of the recovered window states.
+
+    Each comes with its normwise backward error ``res / (4k max|u| + max|f|)``,
+    ``4k`` being the stencil's infinity norm (``k = k1`` atomistic, ``k_c``
+    continuum); above ``BACKWARD_ERROR_TOL`` it raises ``ResidualError``.
+    """
+    atomistic = (_apply_atomistic, chain.k1, 2)
+    continuum = (_apply_continuum, chain.k_c, 1) if continuum_operator else atomistic
+    diagnostics = {}
+    for name, window, u, (apply, k, off) in (("atom", "atomistic", u_a, atomistic),
+                                             ("cont", "continuum", u_c, continuum)):
+        f = chain.force[u.lo + off : u.hi - off + 1]
+        res = float(np.max(np.abs(apply(chain, u.values) - f)))
+        scale = 4.0 * k * float(np.max(np.abs(u.values))) + float(np.max(np.abs(f)))
+        backward = res / scale if res else 0.0  # res > 0 implies scale > 0
+        if not backward <= BACKWARD_ERROR_TOL:
+            raise ResidualError(
+                f"recovered {window} window state does not balance forces: normwise "
+                f"backward error {backward:.3e} exceeds {BACKWARD_ERROR_TOL:.3e}"
+            )
+        diagnostics[f"state_residual_{name}"] = res
+        diagnostics[f"state_backward_error_{name}"] = backward
+    return diagnostics
 
 
 def _compose(
@@ -324,7 +332,7 @@ def _compose(
     values = np.concatenate(
         [u_a.values, u_c.window(L + 1, hi_c), [u_last] if hi_c < N else []]
     )
-    return DisplacementField(0, N, values, "global")
+    return DisplacementField(0, N, values)
 
 
 def _recover(chain: ChainModel, system: ReducedSystem, theta: np.ndarray) -> AtcResult:

@@ -30,8 +30,6 @@ __all__ = [
     "materialize_force",
     "parse_config_text",
     "load_config",
-    "chain_from_config",
-    "decomposition_from_config",
 ]
 
 
@@ -134,49 +132,9 @@ class Decomposition:
         """Overlap ratio ``(L - K) / L``."""
         return (self.L - self.K) / self.L
 
-    # -- subdomains ---------------------------------------------------
-    @property
-    def omega_atom(self) -> tuple[int, int]:
-        return (0, self.L)
-
-    @property
-    def omega_cont(self) -> tuple[int, int]:
-        return (self.K, self.N - 1)
-
-    @property
-    def omega_overlap(self) -> tuple[int, int]:
-        return (self.K, self.L)
-
-    # -- interiors ----------------------------------------------------
-    @property
-    def atom_interior(self) -> tuple[int, int]:
-        return (2, self.L - 2)
-
     @property
     def cont_interior(self) -> tuple[int, int]:
         return (self.K + 1, self.N - 2)
-
-    @property
-    def overlap_interior(self) -> tuple[int, int]:
-        """Overlap sites strictly between the two artificial interfaces."""
-        return (self.K + 1, self.L - 2)
-
-    # -- boundaries ---------------------------------------------------
-    @property
-    def bdry_atom_minus(self) -> tuple[int, int]:
-        return (0, 1)
-
-    @property
-    def bdry_atom_plus(self) -> tuple[int, int]:
-        return (self.L - 1, self.L)
-
-    @property
-    def bdry_cont_minus(self) -> int:
-        return self.K
-
-    @property
-    def bdry_cont_plus(self) -> int:
-        return self.N - 1
 
 
 @dataclass(frozen=True)
@@ -189,7 +147,6 @@ class DisplacementField:
     lo: int
     hi: int
     values: np.ndarray
-    domain_tag: str = "global"
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -220,9 +177,6 @@ class DisplacementField:
         a = self.lo if a is None else a
         b = self.hi if b is None else b
         return float(np.linalg.norm(self.window(a, b)))
-
-    def restrict(self, a: int, b: int, domain_tag: str | None = None) -> "DisplacementField":
-        return DisplacementField(a, b, self.window(a, b), domain_tag or self.domain_tag)
 
 
 @dataclass(frozen=True)
@@ -280,11 +234,15 @@ def materialize_force(N: int, spec=None) -> np.ndarray:
         m = float(params.get("m", 1.0))
         f = np.sin(m * np.pi * i / N)
     elif kind == "sines":
+        if not params["amplitudes"]:
+            raise ValueError("force kind 'sines' needs at least one amplitude: sines:A1,A2,...")
         f = np.zeros(N + 1)
         for m, a in enumerate(params["amplitudes"], start=1):
             f += float(a) * np.sin(m * np.pi * i / N)
     elif kind == "poly":
         coeffs = [float(c) for c in params["coeffs"]]
+        if not coeffs:
+            raise ValueError("force kind 'poly' needs at least one coefficient: poly:C0,C1,...")
         x = i / N
         f = np.zeros(N + 1)
         for j, c in enumerate(coeffs):
@@ -314,13 +272,8 @@ def _normalize_force_spec(N: int, spec) -> tuple[str, dict]:
         return "zero", {}
     if callable(spec):
         return "table", {"values": [float(spec(i)) for i in range(N + 1)]}
-    if isinstance(spec, (list, tuple, np.ndarray)) and not (
-        isinstance(spec, tuple) and spec and isinstance(spec[0], str)
-    ):
+    if isinstance(spec, (list, tuple, np.ndarray)):
         return "table", {"values": np.asarray(spec, dtype=float)}
-    if isinstance(spec, tuple):  # ("sine", {...}) style
-        kind, params = spec
-        return str(kind), dict(params)
     if isinstance(spec, Mapping):
         kind = str(spec.get("kind", "zero"))
         params = spec.get("params", {})
@@ -460,22 +413,36 @@ def validate_assumptions(decomp: Decomposition, p: float, c: float = 2.0) -> Ass
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse a JSON object or ``key = value`` lines into a flat dict."""
+    """Parse a JSON object or ``key = value`` lines into a flat dict.
+
+    The dotted keys ``force.kind`` and ``force.params`` are folded into
+    the single key ``force = {"kind": ..., "params": ...}``, so a load
+    has one key whichever form the file uses.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         cfg = json.loads(text)
         if not isinstance(cfg, dict):
             raise ValueError("JSON config must be an object")
-        return cfg
-    cfg: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {line!r} is not of the form key = value")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = _parse_scalar(value.strip())
+    else:
+        cfg = {}
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"config line {line!r} is not of the form key = value")
+            key, _, value = line.partition("=")
+            cfg[key.strip()] = _parse_scalar(value.strip())
+    dotted = {key: cfg.pop(key) for key in ("force.kind", "force.params") if key in cfg}
+    if dotted:
+        if "force" in cfg:
+            raise ValueError(
+                f"config sets both 'force' and {' and '.join(map(repr, dotted))}; use one form"
+            )
+        if "force.kind" not in dotted:
+            raise ValueError("config key 'force.params' needs 'force.kind'")
+        cfg["force"] = {"kind": dotted["force.kind"], "params": dotted.get("force.params", {})}
     return cfg
 
 
@@ -488,35 +455,3 @@ def _parse_scalar(s: str):
 
 def load_config(path) -> dict:
     return parse_config_text(Path(path).read_text())
-
-
-def _force_spec_from_config(cfg: Mapping):
-    force = cfg.get("force")
-    if isinstance(force, Mapping) or isinstance(force, str):
-        return force
-    kind = cfg.get("force.kind")
-    if kind is None:
-        return None
-    params = cfg.get("force.params", {})
-    return {"kind": kind, "params": params}
-
-
-def chain_from_config(cfg: Mapping) -> ChainModel:
-    """Build a chain from config keys ``N, k1, k2, force`` (nested or dotted)."""
-    if "N" not in cfg:
-        raise ValueError("config is missing the chain size key 'N'")
-    return build_chain(
-        int(cfg["N"]),
-        float(cfg.get("k1", 1.0)),
-        float(cfg.get("k2", -1.0 / 6.0)),
-        _force_spec_from_config(cfg),
-    )
-
-
-def decomposition_from_config(cfg: Mapping, chain: ChainModel | None = None):
-    """Build ``(chain, decomposition)`` from config keys ``N, k1, k2, K, L, force``."""
-    chain = chain or chain_from_config(cfg)
-    for key in ("K", "L"):
-        if key not in cfg:
-            raise ValueError(f"config is missing the decomposition key {key!r}")
-    return chain, decompose(chain, int(cfg["K"]), int(cfg["L"]))

@@ -113,7 +113,8 @@ def _assemble(
     columns = max((np.size(v) for v in dirichlet.values()), default=1)
     rhs = np.zeros((n, columns))
     rhs[:, 0] = load[lo : hi + 1]
-    for i in (*range(lo, min(lo + hb, hi) + 1), *range(max(hi - hb + 1, lo), hi + 1)):
+    # a set: on a window of at most 2*hb rows the two end ranges overlap
+    for i in sorted({*range(lo, min(lo + hb, hi) + 1), *range(max(hi - hb + 1, lo), hi + 1)}):
         for off in range(-hb, hb + 1):
             if off == 0:
                 continue

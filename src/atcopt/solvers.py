@@ -38,7 +38,6 @@ __all__ = [
     "solve_atomistic_on_continuum",
     "ModelingErrorReport",
     "modeling_error_bound",
-    "displacement_csv_text",
 ]
 
 BACKWARD_ERROR_TOL = 16.0 * np.finfo(float).eps
@@ -144,14 +143,14 @@ def solve_full_atomistic(chain: ChainModel, bc: OuterBoundary | None = None) -> 
     """Displacements of the fully atomistic chain on ``[0, N]``."""
     bc = bc or OuterBoundary()
     values = solve_window(chain, "atomistic", 0, chain.N, 2, (bc.u0, bc.u1), (bc.u_nm1, bc.u_n))
-    return DisplacementField(0, chain.N, values, "global")
+    return DisplacementField(0, chain.N, values)
 
 
 def solve_full_continuum(chain: ChainModel, bc: OuterBoundary | None = None) -> DisplacementField:
     """Displacements of the fully continuum chain on ``[0, N]``."""
     bc = bc or OuterBoundary()
     inner = solve_window(chain, "continuum", 1, chain.N - 1, 1, (bc.u1,), (bc.u_nm1,))
-    return DisplacementField(0, chain.N, np.concatenate([[bc.u0], inner, [bc.u_n]]), "global")
+    return DisplacementField(0, chain.N, np.concatenate([[bc.u0], inner, [bc.u_n]]))
 
 
 def solve_atomistic_subproblem(
@@ -169,7 +168,7 @@ def solve_atomistic_subproblem(
     """
     L = decomp.L
     values = solve_window(chain, "atomistic", 0, L, 2, gamma_minus, theta_a, load)
-    return DisplacementField(0, L, values, "atomistic")
+    return DisplacementField(0, L, values)
 
 
 def solve_continuum_subproblem(
@@ -187,7 +186,7 @@ def solve_continuum_subproblem(
     """
     K, nbar = decomp.K, decomp.N - 1
     values = solve_window(chain, "continuum", K, nbar, 1, (theta_c,), (gamma_plus,), load)
-    return DisplacementField(K, nbar, values, "continuum")
+    return DisplacementField(K, nbar, values)
 
 
 def solve_atomistic_on_continuum(
@@ -205,7 +204,7 @@ def solve_atomistic_on_continuum(
     """
     K, N = decomp.K, decomp.N
     values = solve_window(chain, "atomistic", K, N, 2, theta_pair, gamma_plus_pair, load)
-    return DisplacementField(K, N, values, "continuum")
+    return DisplacementField(K, N, values)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,3 @@ def fields_csv_text(header: str, fields: list[DisplacementField]) -> str:
         chunks.append("\n".join(map(",".join, zip(*cols))) + "\n")
     return "".join(chunks)
 
-
-def displacement_csv_text(field: DisplacementField) -> str:
-    """CSV with columns ``atom_index, displacement`` at full precision."""
-    return fields_csv_text("atom_index,displacement", [field])

@@ -25,6 +25,26 @@ def dense_solve(system):
     return np.linalg.solve(dense_matrix(system), system.rhs)
 
 
+def cubic_solution(N, k1=K1_DEFAULT, k2=K2_DEFAULT, coeffs=(0.1, 0.7, -2.0, 1.3)):
+    """Exact solution ``u = c0 + c1 x + c2 x^2 + c3 x^3``, ``x = i/N``, and its load.
+
+    A cubic has zero fourth difference, so the atomistic and the Cauchy-Born
+    operator both act on it as ``-k_c`` times its second difference.  With
+    the load ``f_i = -k_c (2 c2 / N^2 + 6 c3 i / N^3)`` and the outer values
+    taken from ``u``, every window problem is solved by ``u`` itself, the
+    overlap mismatch is zero, and ``u`` is the unique coupled solution of
+    both variants.  Built from the formula alone; shares no code with
+    ``atcopt``.  Returns ``(u, f, (u0, u1, u_nm1, u_n))``.
+    """
+    c0, c1, c2, c3 = coeffs
+    i = np.arange(N + 1, dtype=float)
+    x = i / N
+    u = c0 + c1 * x + c2 * x**2 + c3 * x**3
+    f = -(k1 + 4.0 * k2) * (2.0 * c2 / N**2 + 6.0 * c3 * i / N**3)
+    f[[0, 1, N - 1, N]] = 0.0
+    return u, f, (u[0], u[1], u[N - 1], u[N])
+
+
 def scaled_random_force(N, rng, kind=None):
     """Random load with amplitude ~ (100/N)^2 so solutions stay O(1e3).
 

@@ -5,6 +5,7 @@ import pytest
 
 from atcopt import (
     ControlPair,
+    DisplacementField,
     OuterBoundary,
     assemble_reduced_system,
     compose_atc,
@@ -26,7 +27,7 @@ from atcopt.coupling import (
     gram_norm,
 )
 from atcopt.solvers import solve_continuum_subproblem
-from conftest import make_chain, random_instance, scaled_random_force
+from conftest import cubic_solution, make_chain, random_instance, scaled_random_force
 
 
 class TestHomogeneousStates:
@@ -108,15 +109,15 @@ class TestMismatch:
         chain = make_chain(40, "zero")
         d = decompose(chain, 10, 20)
         u = lift_atomistic(chain, d, (0.3, 0.4))
-        r = mismatch_norm(u, u.restrict(10, 20), d)
+        r = mismatch_norm(u, DisplacementField(10, 20, u.window(10, 20)), d)
         assert r.total == 0.0
 
     def test_unit_offset_counts_sites(self):
         from atcopt import DisplacementField
 
         d = decompose(make_chain(40, "zero"), 10, 20)
-        u_a = DisplacementField(0, 20, np.ones(21), "atomistic")
-        u_c = DisplacementField(10, 39, np.zeros(30), "continuum")
+        u_a = DisplacementField(0, 20, np.ones(21))
+        u_c = DisplacementField(10, 39, np.zeros(30))
         r = mismatch_norm(u_a, u_c, d)
         assert r.total == pytest.approx(d.L - d.K + 1)
 
@@ -212,7 +213,7 @@ class TestComposeAndTrace:
         from atcopt import DisplacementField
 
         d = decompose(make_chain(100, "zero"), 10, 20)
-        u = DisplacementField(0, 100, np.arange(101, dtype=float), "global")
+        u = DisplacementField(0, 100, np.arange(101, dtype=float))
         c = trace(u, d)
         assert (c.theta_a_lm1, c.theta_a_l, c.theta_c_k) == (19.0, 20.0, 10.0)
 
@@ -356,3 +357,14 @@ class TestExports:
         # recovered states satisfy their force balances to rounding
         assert payload["diagnostics"]["state_residual_atom"] <= 1e-12
         assert payload["diagnostics"]["state_residual_cont"] <= 1e-12
+
+
+@pytest.mark.parametrize("solve", [solve_atc, solve_atc_consistent])
+@pytest.mark.parametrize("L", [6, 7, 8])
+def test_cubic_solution_on_the_smallest_windows(solve, L):
+    # at L = 6, 7 the atomistic window has at most 2*hb = 4 interior rows, so
+    # the Dirichlet data of its two ends reach the same rows
+    u, f, bc = cubic_solution(12)
+    chain = make_chain(12, f)
+    result = solve(chain, decompose(chain, 2, L), OuterBoundary(*bc))
+    assert np.max(np.abs(result.u_atc.values - u)) <= 1e-13 * np.max(np.abs(u))

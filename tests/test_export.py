@@ -13,7 +13,7 @@ from atcopt import DisplacementField, OuterBoundary, decompose, solve_atc
 from atcopt.analysis import sweep_windows
 from atcopt.cli import main
 from atcopt.coupling import atc_csv_text
-from atcopt.solvers import displacement_csv_text
+from atcopt.solvers import fields_csv_text
 from conftest import make_chain
 
 
@@ -55,7 +55,8 @@ def test_matches_oracle(result, chunk_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(atcopt.solvers, "CSV_CHUNK_ROWS", chunk_rows)
         assert atc_csv_text(result, result.system.decomp) == oracle_atc_csv(result)
-        assert displacement_csv_text(result.u_c_op) == oracle_displacement_csv(result.u_c_op)
+        text = fields_csv_text("atom_index,displacement", [result.u_c_op])
+        assert text == oracle_displacement_csv(result.u_c_op)
 
 
 def _hand_built(N=20, K=6, L=12):
@@ -113,7 +114,7 @@ def test_non_finite_field_is_refused(name, bad):
     with pytest.raises(ValueError, match="non-finite"):
         atc_csv_text(broken, d)
     with pytest.raises(ValueError, match="non-finite"):
-        displacement_csv_text(getattr(broken, name))
+        fields_csv_text("atom_index,displacement", [getattr(broken, name)])
 
 
 def test_cli_refuses_non_finite_solution(tmp_path, monkeypatch, capsys):

@@ -12,9 +12,7 @@ from atcopt import (
     OuterBoundary,
     assemble_reduced_system,
     build_chain,
-    chain_from_config,
     decompose,
-    decomposition_from_config,
     materialize_force,
     parse_config_text,
     validate_assumptions,
@@ -122,13 +120,7 @@ class TestDecompose:
         chain = build_chain(100, 1.0, -1.0 / 6.0, "zero")
         d = decompose(chain, 10, 20)
         assert d.gamma == pytest.approx(0.5)
-        assert d.omega_overlap == (10, 20)
-        assert d.bdry_atom_plus == (19, 20)
-        assert d.bdry_cont_minus == 10
-        assert d.bdry_cont_plus == 99
-        assert d.omega_atom == (0, 20)
-        assert d.omega_cont == (10, 99)
-        assert d.atom_interior == (2, 18)
+        assert (d.N, d.K, d.L) == (100, 10, 20)
         assert d.cont_interior == (11, 98)
 
     def test_overlap_too_small_rejected(self):
@@ -148,34 +140,14 @@ class TestDecompose:
         d2 = decompose(chain, 14, 28)
         assert d1 == d2
         # |overlap| = L - K + 1 and gamma * L = L - K exactly
-        lo, hi = d1.omega_overlap
-        assert hi - lo + 1 == d1.L - d1.K + 1
         assert d1.gamma * d1.L == d1.L - d1.K
 
     def test_partitions(self):
         chain = build_chain(60, 1.0, -1.0 / 6.0, "zero")
         d = decompose(chain, 12, 24)
-        atoms = set(range(0, d.L + 1))
-        parts = (
-            set(d.bdry_atom_minus)
-            | set(range(d.atom_interior[0], d.atom_interior[1] + 1))
-            | set(d.bdry_atom_plus)
-        )
-        assert parts == atoms
-        cont = set(range(d.K, d.N))
-        parts_c = (
-            {d.bdry_cont_minus}
-            | set(range(d.cont_interior[0], d.cont_interior[1] + 1))
-            | {d.bdry_cont_plus}
-        )
-        assert parts_c == cont
-        # three-way mismatch split covers the overlap
-        split = (
-            {d.bdry_cont_minus}
-            | set(range(d.overlap_interior[0], d.overlap_interior[1] + 1))
-            | set(d.bdry_atom_plus)
-        )
-        assert split == set(range(d.K, d.L + 1))
+        # the continuum interior and its boundary nodes {K} and {N-1} cover [K, N-1]
+        lo, hi = d.cont_interior
+        assert {d.K} | set(range(lo, hi + 1)) | {d.N - 1} == set(range(d.K, d.N))
 
     @pytest.mark.parametrize("K,L", [(0, 10), (5, 5), (2, 99), (1, 10)])
     def test_bad_interfaces_rejected(self, K, L):
@@ -224,7 +196,7 @@ class TestDisplacementField:
     def test_index_arithmetic(self):
         from atcopt import DisplacementField
 
-        f = DisplacementField(5, 9, np.arange(5.0), "overlap")
+        f = DisplacementField(5, 9, np.arange(5.0))
         assert f[5] == 0.0 and f[9] == 4.0
         with pytest.raises(IndexError):
             f[4]
@@ -280,21 +252,22 @@ class TestConfig:
 
     def test_json_text(self):
         cfg = parse_config_text(json.dumps({"N": 50, "force": {"kind": "sine", "params": {"m": 2}}}))
-        chain = chain_from_config(cfg)
+        chain = build_chain(cfg["N"], 1.0, -1.0 / 6.0, cfg["force"])
         assert chain.N == 50
         assert chain.force[25] == pytest.approx(np.sin(2 * np.pi * 25 / 50), abs=1e-12)
 
     def test_dotted_force_keys(self):
-        cfg = {"N": 30, "K": 8, "L": 14, "force.kind": "point", "force.params": {"i0": 15, "magnitude": 2.0}}
-        chain, d = decomposition_from_config(cfg)
-        assert chain.force[15] == 2.0
-        assert (d.K, d.L) == (8, 14)
+        for text in ('N = 30\nforce.kind = "point"\nforce.params = {"i0": 15, "magnitude": 2.0}\n',
+                     json.dumps({"N": 30, "force.kind": "point", "force.params": [15, 2.0]})):
+            cfg = parse_config_text(text)
+            assert set(cfg) == {"N", "force"}  # folded into the one key
+            assert build_chain(cfg["N"], 1.0, -1.0 / 6.0, cfg["force"]).force[15] == 2.0
 
     def test_missing_key_errors(self):
-        with pytest.raises(ValueError, match="'N'"):
-            chain_from_config({"k1": 1.0})
-        with pytest.raises(ValueError, match="'K'"):
-            decomposition_from_config({"N": 30})
+        with pytest.raises(ValueError, match="'force' and 'force.kind'"):
+            parse_config_text('force = "sine:1"\nforce.kind = "point"\n')
+        with pytest.raises(ValueError, match="'force.params' needs 'force.kind'"):
+            parse_config_text("force.params = [1]\n")
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="key = value"):

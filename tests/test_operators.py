@@ -39,7 +39,7 @@ class TestStencils:
 
     def test_field_offset_indexing(self):
         # the stencils at atom 15 read the field's window around it
-        f = DisplacementField(10, 20, np.arange(10, 21, dtype=float) ** 2, "overlap")
+        f = DisplacementField(10, 20, np.arange(10, 21, dtype=float) ** 2)
         assert delta1_array(f.window(14, 16)).tolist() == [2.0]
         assert delta2_array(f.window(13, 17)).tolist() == [8.0]
 

@@ -19,7 +19,7 @@ from atcopt.solvers import (
     BACKWARD_ERROR_TOL,
     FactorizationError,
     ResidualError,
-    displacement_csv_text,
+    fields_csv_text,
     solve_atomistic_on_continuum,
 )
 from conftest import dense_solve, make_chain, scaled_random_force
@@ -280,7 +280,7 @@ class TestCsvExport:
     def test_roundtrip(self, tmp_path):
         chain = make_chain(20, "sine:1")
         u = solve_full_atomistic(chain)
-        text = displacement_csv_text(u)
+        text = fields_csv_text("atom_index,displacement", [u])
         lines = text.strip().splitlines()
         assert lines[0] == "atom_index,displacement"
         assert len(lines) == 22
