@@ -162,13 +162,24 @@ def reconstruct_modes(decomp: Decomposition, coeffs: ModeCoefficients) -> Displa
     return DisplacementField(0, L, v)
 
 
+def _lifts(chain, decomp, system, rows: np.ndarray) -> np.ndarray:
+    """Rows ``theta_1 w1 + theta_2 w2`` of the lifts of ``system`` (assembled when none)."""
+    w1, w2 = (system or coupling.assemble_reduced_system(chain, decomp)).basis_liftings[:2]
+    return rows[:, :1] * w1.values + rows[:, 1:] * w2.values
+
+
 def mode_reconstruction_residual(
-    chain: ChainModel, decomp: Decomposition, theta_a: tuple[float, float]
+    chain: ChainModel, decomp: Decomposition, theta_a, system: coupling.ReducedSystem | None = None
 ) -> float:
-    """Max deviation of the mode expansion from the numeric lifting."""
-    numeric = coupling.lift_atomistic(chain, decomp, theta_a)
-    modes = reconstruct_modes(decomp, mode_decomposition(chain, decomp, theta_a))
-    return float(np.max(np.abs(numeric.values - modes.values)))
+    """Max deviation of the mode expansion from the numeric lifting.
+
+    ``theta_a`` is one interface pair or rows of them; the numeric lifts
+    combine the lifts of ``system`` (assembled when none is given).
+    """
+    rows = np.atleast_2d(np.asarray(theta_a, dtype=float))
+    numeric = _lifts(chain, decomp, system, rows)
+    modes = [reconstruct_modes(decomp, mode_decomposition(chain, decomp, tuple(t))) for t in rows]
+    return float(np.max(np.abs(numeric - [m.values for m in modes])))
 
 
 def alpha_coefficients(
@@ -194,31 +205,31 @@ def alpha_coefficients(
 
 
 def two_mode_reconstruction_residual(
-    chain: ChainModel, decomp: Decomposition, theta_a: tuple[float, float]
+    chain: ChainModel, decomp: Decomposition, theta_a, system: coupling.ReducedSystem | None = None
 ) -> float:
     """Check the two-mode-plus-corrections expansion against the lifting.
 
     The linear and exponential modes meet the interface values exactly;
-    two auxiliary zero-load solves cancel their leftover values on the
-    fixed pair ``{0, 1}``.
+    a zero-load correction solve cancels their leftover values on the
+    fixed pair ``{0, 1}``, one column per row of ``theta_a`` in one
+    factorization.  The numeric lifts are as in
+    :func:`mode_reconstruction_residual`.
     """
     _, lam = characteristic_roots(chain.k1, chain.k2)
-    a1, a2 = alpha_coefficients(decomp, lam, theta_a)
+    rows = np.atleast_2d(np.asarray(theta_a, dtype=float))
     L, K = decomp.L, decomp.K
     n = np.arange(L + 1, dtype=float)
     root = math.sqrt(L - K)
-    v1 = a1 * n / L
-    v2 = a2 * lam ** (L - n) * root
-    zero = np.zeros(chain.N + 1)
-    v3 = solvers.solve_atomistic_subproblem(
-        chain, decomp, (0.0, 0.0), gamma_minus=(-v2[0], -v2[1]), load=zero
+    modes = np.array([
+        a1 * n / L + a2 * lam ** (L - n) * root
+        for a1, a2 in (alpha_coefficients(decomp, lam, tuple(t)) for t in rows)
+    ])
+    leftover = -modes[:, :2].T.squeeze()  # one column per row; a single row solves 1-D
+    correction = solvers.solve_window(
+        chain, "atomistic", 0, L, 2, leftover, np.zeros_like(leftover), np.zeros(chain.N + 1)
     )
-    v4 = solvers.solve_atomistic_subproblem(
-        chain, decomp, (0.0, 0.0), gamma_minus=(-v1[0], -v1[1]), load=zero
-    )
-    reconstruction = v1 + v2 + v3.values + v4.values
-    numeric = coupling.lift_atomistic(chain, decomp, theta_a)
-    return float(np.max(np.abs(numeric.values - reconstruction)))
+    numeric = _lifts(chain, decomp, system, rows)
+    return float(np.max(np.abs(numeric - modes - correction.reshape(L + 1, -1).T)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,52 +456,45 @@ def verify_stability(
 # ---------------------------------------------------------------------------
 # independent minimizer of the reduced objective (test oracle)
 
-NEWTON_ITERATIONS = 3
-
 
 def fd_newton_controls(
     chain: ChainModel, decomp: Decomposition, bc: OuterBoundary | None = None
 ) -> coupling.ControlPair:
     """Minimize the overlap mismatch by finite-difference Newton from zero.
 
-    Each objective evaluation re-solves both subdomain problems; the
-    objective is exactly quadratic, so central differences carry no
-    truncation error and a generous step keeps rounding noise down.  The
-    first step is exact up to rounding; the later ones correct that
-    rounding.
+    The objective is a black box: each evaluation solves both subdomain
+    problems at the given controls.  It is an exact quadratic, so its
+    Hessian does not depend on the load and comes from the homogeneous
+    objective (zero load and boundary data), which vanishes at zero: three
+    axis and three pair evaluations, with nothing cancelling against the
+    loaded f(0).  The gradient is a central difference of the loaded
+    objective at zero with step ``h = sqrt(2 f(0) / max diag H)``, the
+    scale of the minimizer (``|theta*|_H <= sqrt(2 f(0))``).  One Newton
+    step is followed by one corrective step with the same Hessian and a
+    central gradient at ``theta_1`` of step ``0.01 |theta_1|_inf``: 19
+    evaluations in all.
     """
     bc = bc or OuterBoundary()
     K, L = decomp.K, decomp.L
+    zero, eye = np.zeros(chain.N + 1), np.eye(3)
 
-    def objective(t: np.ndarray) -> float:
-        u_a = solvers.solve_atomistic_subproblem(
-            chain, decomp, (t[0], t[1]), gamma_minus=(bc.u0, bc.u1)
-        )
-        u_c = solvers.solve_continuum_subproblem(
-            chain, decomp, t[2], gamma_plus=bc.u_nm1
-        )
+    def objective(t, load=None, outer=(bc.u0, bc.u1, bc.u_nm1)) -> float:
+        u_a = solvers.solve_atomistic_subproblem(chain, decomp, (t[0], t[1]), outer[:2], load)
+        u_c = solvers.solve_continuum_subproblem(chain, decomp, t[2], outer[2], load)
         d = u_a.window(K, L) - u_c.window(K, L)
         return 0.5 * float(d @ d)
 
-    theta = np.zeros(3)
-    eye = np.eye(3)
-    for _ in range(NEWTON_ITERATIONS):
-        h = max(1.0, 0.01 * float(np.max(np.abs(theta))))
-        # the axis evaluations serve both the gradient and the Hessian diagonal
-        f_axis = [(objective(theta + h * e), objective(theta - h * e)) for e in eye]
-        grad = np.array([(fp - fm) / (2.0 * h) for fp, fm in f_axis])
-        hess = np.empty((3, 3))
-        f0 = objective(theta)
-        for j, (fp, fm) in enumerate(f_axis):
-            hess[j, j] = (fp - 2.0 * f0 + fm) / h**2
-            for k in range(j + 1, 3):
-                hess[j, k] = hess[k, j] = (
-                    objective(theta + h * (eye[j] + eye[k]))
-                    - objective(theta + h * (eye[j] - eye[k]))
-                    - objective(theta - h * (eye[j] - eye[k]))
-                    + objective(theta - h * (eye[j] + eye[k]))
-                ) / (4.0 * h**2)
-        theta = theta - np.linalg.solve(hess, grad)
+    def gradient(t, h) -> np.ndarray:
+        return np.array([objective(t + h * e) - objective(t - h * e) for e in eye]) / (2.0 * h)
+
+    hess = np.diag([2.0 * objective(e, zero, (0.0,) * 3) for e in eye])
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        f_jk = objective(eye[j] + eye[k], zero, (0.0,) * 3)
+        hess[j, k] = hess[k, j] = f_jk - 0.5 * (hess[j, j] + hess[k, k])
+    # a zero step means a zero gradient, so zero is the minimizer and any step finds it
+    h = math.sqrt(2.0 * objective(np.zeros(3)) / hess.max()) or 1.0  # max of H is on its diagonal
+    theta = -np.linalg.solve(hess, gradient(np.zeros(3), h))
+    theta -= np.linalg.solve(hess, gradient(theta, 0.01 * float(np.max(np.abs(theta))) or 1.0))
     return coupling.ControlPair.from_array(theta)
 
 
@@ -551,7 +555,12 @@ def error_study(
     )
 
 
-def error_split_report(chain: ChainModel, decomp: Decomposition) -> dict:
+def error_split_report(
+    chain: ChainModel,
+    decomp: Decomposition,
+    result: coupling.AtcResult | None = None,
+    u_ref: DisplacementField | None = None,
+) -> dict:
     """Evaluate every term of the two-step error split independently.
 
     Returns the coupled-solve error, the consistency term (continuum
@@ -560,9 +569,13 @@ def error_split_report(chain: ChainModel, decomp: Decomposition) -> dict:
     inequalities can be checked term by term.  The trace lifting and the
     recovery-operator terms reuse the coupled solve's lifts.  The slack of
     ``trace_ok`` grows with the rounding of the N-site reference solve.
+    The coupled ``result`` and the reference ``u_ref`` are solved when not
+    given.
     """
-    u_ref = solvers.solve_full_atomistic(chain)
-    result = coupling.solve_atc(chain, decomp)
+    if u_ref is None:
+        u_ref = solvers.solve_full_atomistic(chain)
+    if result is None:
+        result = coupling.solve_atc(chain, decomp)
     system = result.system
     r_ref = coupling.trace(u_ref, decomp)
     delta = r_ref.as_array() - result.controls.as_array()
@@ -738,116 +751,76 @@ def verification_battery(
     checks: list[CheckResult] = []
 
     op = operators.operator_identity_report(chain)
-    checks.append(
-        CheckResult(
-            "operator_identity",
-            op.within(tol["operator_eps"]),
-            op.max_eps_ratio,
-            tol["operator_eps"],
-            f"max deviation {op.max_abs_deviation:.3e} over {op.n_sites} sites",
-        )
-    )
+    checks.append(CheckResult(
+        "operator_identity", op.within(tol["operator_eps"]), op.max_eps_ratio,
+        tol["operator_eps"], f"max deviation {op.max_abs_deviation:.3e} over {op.n_sites} sites",
+    ))
 
     system = coupling.assemble_reduced_system(chain, decomp)
-    checks.append(
-        CheckResult(
-            "reduced_system_pd",
-            system.min_eigenvalue > 0.0,
-            system.min_eigenvalue,
-            0.0,
-            f"condition {system.condition:.3e}",
-        )
-    )
+    checks.append(CheckResult(
+        "reduced_system_pd", system.min_eigenvalue > 0.0, system.min_eigenvalue, 0.0,
+        f"condition {system.condition:.3e}",
+    ))
 
     stability = verify_stability(chain, decomp, system)
-    checks.append(
-        CheckResult(
-            "lifting_stability",
-            stability.continuum_violations == 0,
-            float(stability.continuum_violations),
-            0.0,
-            f"continuum ratio {stability.continuum_max_ratio:.6f}, "
-            f"atomistic constant {stability.atomistic_constant:.6f}",
-        )
-    )
+    checks.append(CheckResult(
+        "lifting_stability", stability.continuum_violations == 0,
+        float(stability.continuum_violations), 0.0,
+        f"continuum ratio {stability.continuum_max_ratio:.6f}, "
+        f"atomistic constant {stability.atomistic_constant:.6f}",
+    ))
 
-    split = error_split_report(chain, decomp)
-    gap_ok = split["trace_ok"] and split["triangle_ok"] and split["operator_ok"]
-    checks.append(
-        CheckResult(
-            "control_gap_inequalities",
-            gap_ok,
-            split["delta_star"],
-            split["model_overlap"],
-            f"err_atc {split['err_atc']:.3e} <= {split['consistency']:.3e} "
-            f"+ {split['q_norm']:.3e} * {split['delta_star']:.3e}",
-        )
-    )
+    # one reference and one coupled result serve the error split, the
+    # consistency check and the minimizer check
+    u_ref = solvers.solve_full_atomistic(chain)
+    result = coupling.compose_atc(chain, decomp, coupling.solve_controls(system), system=system)
+    split = error_split_report(chain, decomp, result, u_ref)
+    checks.append(CheckResult(
+        "control_gap_inequalities",
+        split["trace_ok"] and split["triangle_ok"] and split["operator_ok"],
+        split["delta_star"], split["model_overlap"],
+        f"err_atc {split['err_atc']:.3e} <= {split['consistency']:.3e} "
+        f"+ {split['q_norm']:.3e} * {split['delta_star']:.3e}",
+    ))
 
     mode_tol = tol["mode_residual"] * _rounding_growth(decomp.L, TOLERANCE_L)
-    mode_res = max(
-        mode_reconstruction_residual(chain, decomp, tuple(rng.standard_normal(2)))
-        for _ in range(5)
+    mode_res = mode_reconstruction_residual(chain, decomp, rng.standard_normal((5, 2)), system)
+    two_mode_res = two_mode_reconstruction_residual(
+        chain, decomp, rng.standard_normal((5, 2)), system
     )
-    two_mode_res = max(
-        two_mode_reconstruction_residual(chain, decomp, tuple(rng.standard_normal(2)))
-        for _ in range(5)
-    )
-    checks.append(
-        CheckResult(
-            "mode_decomposition",
-            mode_res <= mode_tol and two_mode_res <= mode_tol,
-            max(mode_res, two_mode_res),
-            mode_tol,
-            f"four-mode {mode_res:.3e}, two-mode {two_mode_res:.3e}",
-        )
-    )
+    checks.append(CheckResult(
+        "mode_decomposition", mode_res <= mode_tol and two_mode_res <= mode_tol,
+        max(mode_res, two_mode_res), mode_tol,
+        f"four-mode {mode_res:.3e}, two-mode {two_mode_res:.3e}",
+    ))
 
     form = overlap_quadratic_form(decomp)
-    form_ok = (
+    checks.append(CheckResult(
+        "overlap_form",
         form.max_rel_difference <= tol["overlap_form_rel"]
-        and form.lambda_min_limit >= form.gamma**2 / 24.0
-    )
-    checks.append(
-        CheckResult(
-            "overlap_form",
-            form_ok,
-            form.max_rel_difference,
-            tol["overlap_form_rel"],
-            f"limit min eigenvalue {form.lambda_min_limit:.6f} >= "
-            f"gamma^2/24 = {form.gamma**2 / 24.0:.6f}",
-        )
-    )
+        and form.lambda_min_limit >= form.gamma**2 / 24.0,
+        form.max_rel_difference, tol["overlap_form_rel"],
+        f"limit min eigenvalue {form.lambda_min_limit:.6f} >= "
+        f"gamma^2/24 = {form.gamma**2 / 24.0:.6f}",
+    ))
 
-    u_ref = solvers.solve_full_atomistic(chain)
     consistent = coupling.solve_atc_consistent(chain, decomp)
     rel = float(
         np.linalg.norm(u_ref.values - consistent.u_atc.values)
         / max(np.linalg.norm(u_ref.values), 1e-14)
     )
     consistent_tol = tol["consistent_rel"] * _rounding_growth(decomp.N, TOLERANCE_N)
-    checks.append(
-        CheckResult(
-            "atomistic_consistent_equivalence",
-            rel <= consistent_tol,
-            rel,
-            consistent_tol,
-            "substituting the atomistic operator on the continuum window",
-        )
-    )
+    checks.append(CheckResult(
+        "atomistic_consistent_equivalence", rel <= consistent_tol, rel, consistent_tol,
+        "substituting the atomistic operator on the continuum window",
+    ))
 
-    produced = coupling.solve_controls(system).as_array()
     oracle = fd_newton_controls(chain, decomp).as_array()
-    gap = float(np.max(np.abs(produced - oracle)))
+    gap = float(np.max(np.abs(result.controls.as_array() - oracle)))
     # the controls scale with the load, so the tolerance scales with them
     oracle_tol = tol["oracle_abs"] * max(1.0, float(np.max(np.abs(oracle))))
-    checks.append(
-        CheckResult(
-            "independent_minimizer",
-            gap <= oracle_tol,
-            gap,
-            oracle_tol,
-            "finite-difference Newton on the reduced objective",
-        )
-    )
+    checks.append(CheckResult(
+        "independent_minimizer", gap <= oracle_tol, gap, oracle_tol,
+        "finite-difference Newton on the reduced objective",
+    ))
     return checks

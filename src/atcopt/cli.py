@@ -21,6 +21,7 @@ from .lattice import (
     build_chain,
     decompose,
     load_config,
+    materialize_force,
     validate_assumptions,
 )
 
@@ -177,9 +178,11 @@ def _tolerance_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     for item in getattr(args, "tolerance", []):
         key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"tolerance override {item!r} is not KEY=VALUE")
-        overrides[key.strip()] = float(value)
+        try:
+            overrides[key.strip()] = float(value if sep else "")
+        except ValueError:
+            raise ValueError(f"tolerance override {item!r} (flag --tolerance): "
+                             "expected KEY=NUMBER") from None
     return overrides
 
 
@@ -187,7 +190,11 @@ def _chain_and_decomp(settings: dict):
     N = settings["N"]
     if N is None:
         raise ValueError("chain size N is required (flag --N or config key N)")
-    chain = build_chain(N, settings["k1"], settings["k2"], settings["force"])
+    try:
+        force = materialize_force(N, settings["force"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"force = {settings['force']!r} ({_names('force')}): {exc}") from None
+    chain = build_chain(N, settings["k1"], settings["k2"], force)
     K, L = settings["K"], settings["L"]
     if K is None:
         K, L = analysis.sweep_windows(N, settings["p"], settings["gamma"], settings["c"])
@@ -214,8 +221,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_patch_test(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
-    settings["force"] = "zero"
     chain, decomp = _chain_and_decomp(settings)
+    if chain.force.any():
+        raise ValueError(f"force = {settings['force']!r} ({_names('force')}): "
+                         "the patch test needs a zero load")
     report = analysis.patch_test(chain, decomp, settings["F"])
     payload = {
         "N": decomp.N,
@@ -237,13 +246,10 @@ def _cmd_patch_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    settings = _merged_settings(args)
+    settings, tolerances = _merged_settings(args), _tolerance_overrides(args)
     chain, decomp = _chain_and_decomp(settings)
     checks = analysis.verification_battery(
-        chain,
-        decomp,
-        seed=settings["seed"],
-        tolerances=_tolerance_overrides(args),
+        chain, decomp, seed=settings["seed"], tolerances=tolerances
     )
     scorecard = {
         "config": {"N": decomp.N, "K": decomp.K, "L": decomp.L,

@@ -123,6 +123,16 @@ class TestPatchTest:
         assert payload["passed"] is True
         assert payload["max_deviation"] <= payload["tolerance"]
 
+    @pytest.mark.parametrize("force, code", [("sine:1", 1), ("point:25:1.0", 1), ("zero", 0),
+                                             (None, 0)])
+    def test_load(self, force, code, tmp_path, monkeypatch, capsys):
+        # a given non-zero load is refused, not silently replaced
+        args = ["patch-test", "--N", "50", "--K", "10", "--L", "20"]
+        assert run_cli(args + (["--force", force] if force else []), tmp_path, monkeypatch) == code
+        if code:
+            assert "flag --force, config key force" in capsys.readouterr().err
+            assert not (tmp_path / "summary.json").exists()
+
 
 class TestVerify:
     def test_scorecard_all_green(self, tmp_path, monkeypatch):
@@ -142,6 +152,13 @@ class TestVerify:
         # the independent-minimizer gap scales with the controls (about 9e4 here)
         code = run_cli(["verify", "--N", "2500", "--force", "sines:0.5,0.2,-0.7"],
                        tmp_path, monkeypatch)
+        assert code == 0
+
+    @pytest.mark.parametrize("magnitude", ["1e15", "1e18", "1e60"])
+    def test_large_point_load_passes(self, magnitude, tmp_path, monkeypatch):
+        # the oracle's Hessian and gradient steps follow the load's scale
+        code = run_cli(["verify", "--N", "2500", "--K", "50", "--L", "100",
+                        "--force", f"point:1250:{magnitude}"], tmp_path, monkeypatch)
         assert code == 0
 
     def test_tolerance_override_can_fail(self, tmp_path, monkeypatch):
@@ -211,9 +228,10 @@ class TestSettingsPath:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["controls"]["theta_a_l"] == pytest.approx(28.17, abs=5e-3)
 
-    def test_patch_test_replaces_the_file_load(self, tmp_path, monkeypatch):
+    def test_patch_test_rejects_the_file_load(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "cfg.txt").write_text(SETTINGS_CFG)
-        assert run_cli(["patch-test", "--config", "cfg.txt"], tmp_path, monkeypatch) == 0
+        assert run_cli(["patch-test", "--config", "cfg.txt"], tmp_path, monkeypatch) == 1
+        assert "flag --force, config key force" in capsys.readouterr().err
 
     def test_sweep_reads_the_file_load(self, tmp_path, monkeypatch):
         (tmp_path / "sw.txt").write_text('force.kind = "point"\nforce.params = [200, 1.0]\n')
@@ -240,6 +258,11 @@ class TestSettingsPath:
     (["solve"], "N = 50\ngama = 0.3\n", "'gama'"),
     (["solve"], "N = 50.5\n", "config key N"),
     (["solve"], 'N = 50\nforce = "sine:1"\nforce.kind = "point"\n', "'force.kind'"),
+    (["solve"], 'N = 50\nK = 10\nL = 20\nforce = {"kind": "point", "params": [25]}\n',
+     "config key force"),
+    (["solve", "--N", "50", "--K", "10", "--L", "20", "--force", "point:a:1"], None, "--force"),
+    (["verify", "--N", "100", "--K", "10", "--L", "20", "--tolerance", "oracle_abs=abc"], None,
+     "--tolerance"),
 ])
 def test_invalid_setting_exits_1(args, config, names, tmp_path, monkeypatch, capsys):
     if config is not None:

@@ -194,6 +194,20 @@ class TestControlsOracle:
             oracle = fd_newton_controls(chain, d).as_array()
             assert np.max(np.abs(produced - oracle)) <= 1e-8
 
+    @pytest.mark.parametrize("force", [
+        f"point:1250:{1 / 2500**2!r}", "point:1250:1.0",
+        f"sines:{0.5 / 2500**2!r},{0.2 / 2500**2!r},{-0.7 / 2500**2!r}", "sines:0.5,0.2,-0.7",
+        "sine:1",
+    ])
+    def test_relative_gap_at_any_load_scale(self, force):
+        # the same load at unit and at 1/N^2 scale: the gap is relative to the
+        # controls, with no absolute floor
+        chain = make_chain(2500, force)
+        d = decompose(chain, 50, 100)
+        produced = solve_controls(assemble_reduced_system(chain, d)).as_array()
+        oracle = fd_newton_controls(chain, d).as_array()
+        assert np.max(np.abs(produced - oracle)) <= 1e-10 * np.max(np.abs(produced))
+
 
 class TestComposeAndTrace:
     def test_exact_traces_reproduce_reference(self, rng):

@@ -63,9 +63,10 @@ class TestFactorizationCounts:
         assert count_factorizations(lambda: error_study(*instance)) == 3
 
     def test_verification_battery(self, count_factorizations, instance):
-        # reduced system 2, error split 3, mode decompositions 20, reference 1,
-        # consistent variant 2, fd Newton 3 iterations x 19 evaluations x 2 solves
-        assert count_factorizations(lambda: verification_battery(*instance)) == 142
+        # reduced system 2, reference 1 (shared by the error split and the
+        # consistency check), mode corrections 1, consistent variant 2,
+        # fd Newton 19 evaluations x 2 solves
+        assert count_factorizations(lambda: verification_battery(*instance)) == 44
 
 
 def _atomistic_kappa(chain: ChainModel, n: int) -> float:
